@@ -1,5 +1,6 @@
 #include "reliability/fleet_reliability.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -181,8 +182,12 @@ FleetCampaignResult run_fleet_campaign(const FleetMonteCarloConfig& config,
         detail::accumulate(lane.out, shard_out);
       });
   for (const Lane& lane : lanes) detail::accumulate(result.total, lane.out);
-  const std::size_t shards_run =
-      config.shards - result.degradation.shards_excluded;
+  // Count the slots that ran, not shards minus this campaign's exclusions:
+  // a shard that died before an earlier campaign is skipped here too, yet
+  // quarantined by none of this campaign's preflight reports.
+  const auto shards_run = static_cast<std::size_t>(std::count_if(
+      result.shards.begin(), result.shards.end(),
+      [](const FleetShardOutcome& slot) { return !slot.skipped; }));
   result.total.trials = shards_run * trials_per_shard;
   result.total.blocks_total =
       static_cast<std::uint64_t>(result.total.trials) * blocks_per_trial;

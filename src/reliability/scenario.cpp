@@ -96,6 +96,13 @@ struct Lane {
   std::uint64_t cells_replaced = 0;
 
   std::vector<std::vector<std::size_t>> block_diffs;  ///< slots != golden
+  /// Dirty-block bookkeeping.  Every block with a non-empty diff set is in
+  /// `dirty_blocks` exactly once (`listed` flags membership); the list may
+  /// also hold blocks that have since emptied.  `multi_diff_blocks` counts
+  /// blocks holding >= 2 diffs -- the failure predicate.
+  std::vector<std::size_t> dirty_blocks;
+  std::vector<std::uint8_t> listed;
+  std::size_t multi_diff_blocks = 0;
   std::vector<std::size_t> scratch;
   std::vector<double> window_activations;
   std::vector<fault::DataFlip> disturb_flips;
@@ -202,7 +209,15 @@ ScenarioResult run_scenario(const ScenarioConfig& config, util::Rng& rng) {
     util::Rng trial_rng = util::Rng::for_stream(base_seed, t);
     fault::StuckAtSet stuck(mix.replace_after_repairs);
     lane.block_diffs.resize(blocks);
-    for (std::vector<std::size_t>& diffs : lane.block_diffs) diffs.clear();
+    lane.listed.resize(blocks, 0);
+    // Undo what the lane's previous trial left: only listed blocks can
+    // hold diffs.
+    for (const std::size_t b : lane.dirty_blocks) {
+      lane.block_diffs[b].clear();
+      lane.listed[b] = 0;
+    }
+    lane.dirty_blocks.clear();
+    lane.multi_diff_blocks = 0;
 
     // One injection: toggle the slot's membership in its block's diff set
     // (a re-flip of a faulty cell restores it -- XOR semantics), unless the
@@ -213,13 +228,20 @@ ScenarioResult run_scenario(const ScenarioConfig& config, util::Rng& rng) {
     auto apply_fault = [&](std::size_t slot, bool may_stick) {
       ++lane.faults_injected;
       if (stuck.is_stuck(slot)) return;
-      std::vector<std::size_t>& diffs = lane.block_diffs[map.block_of(slot)];
+      const std::size_t b = map.block_of(slot);
+      std::vector<std::size_t>& diffs = lane.block_diffs[b];
       const auto it = std::find(diffs.begin(), diffs.end(), slot);
       if (it != diffs.end()) {
+        if (diffs.size() == 2) --lane.multi_diff_blocks;
         diffs.erase(it);
         return;
       }
       diffs.push_back(slot);
+      if (diffs.size() == 2) ++lane.multi_diff_blocks;
+      if (lane.listed[b] == 0) {
+        lane.listed[b] = 1;
+        lane.dirty_blocks.push_back(b);
+      }
       if (may_stick && mix.stuck_probability > 0.0 &&
           trial_rng.bernoulli(mix.stuck_probability)) {
         stuck.mark(slot);
@@ -267,13 +289,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config, util::Rng& rng) {
       }
 
       // --- failure predicate, evaluated before the scrub can mask it ------
-      for (const std::vector<std::size_t>& diffs : lane.block_diffs) {
-        if (diffs.size() >= 2) {
-          ttf = event.hours;
-          break;
-        }
+      if (lane.multi_diff_blocks > 0) {
+        ttf = event.hours;
+        break;
       }
-      if (ttf >= 0.0) break;
 
       // --- the scrub itself: every covered block holds at most one diff ---
       ++lane.scrub_events;
@@ -295,7 +314,20 @@ ScenarioResult run_scenario(const ScenarioConfig& config, util::Rng& rng) {
       };
       std::size_t covered = 0;
       if (event.full()) {
-        for (std::size_t b = 0; b < blocks; ++b) scrub_block(b);
+        // Only listed blocks can hold a diff.  Compact the list as we go,
+        // keeping the blocks whose stuck cell re-asserted.  List order is
+        // not block order, which cannot change a result: stuck state is
+        // per slot and every counter is a sum.
+        std::size_t kept = 0;
+        for (const std::size_t b : lane.dirty_blocks) {
+          scrub_block(b);
+          if (lane.block_diffs[b].empty()) {
+            lane.listed[b] = 0;
+          } else {
+            lane.dirty_blocks[kept++] = b;
+          }
+        }
+        lane.dirty_blocks.resize(kept);
         covered = blocks;
       } else {
         for (const std::size_t band : event.bands) {

@@ -11,12 +11,27 @@
 // 2m check bits).  The failure predicate is the first instant any block
 // holds >= 2 differing cells -- exactly the diagonal code's per-block
 // corruption condition (one error per block is always repaired; two or
-// more make silent miscorrection possible), evaluated in O(active faults)
-// per trial without materializing a BitMatrix.  With the iid model alone
-// and the periodic policy, this reproduces lifetime.hpp's reference-walker
-// distribution; bench_scenarios and test_scenarios pin the two engines
-// against each other (exact scrub accounting at zero fault rate,
-// statistical bands on the hot configuration).
+// more make silent miscorrection possible).
+//
+// The bookkeeping costs O(scrub events + faults) per trial: nothing scans
+// every block, and no BitMatrix is materialized.  (A band scrub walks the
+// blocks of the bands it covers, and the disturbance mechanism, when
+// enabled, draws per row every window.)  Each lane keeps a dirty-block list
+// under one invariant: every block with a non-empty diff set is listed
+// exactly once (a per-block flag guards membership); the list may also
+// hold blocks that have since emptied.  Beside it, a counter of the blocks
+// holding >= 2 diffs is kept current as each fault lands, so the failure
+// predicate is one comparison.  A full scrub visits only listed blocks and
+// compacts the list (a stuck cell that re-asserts keeps its block listed);
+// a new trial clears only listed blocks.  The scrub counters
+// (blocks_scrubbed, cells_scrubbed) still report the simulated scrub's
+// full coverage, not the host's work.
+//
+// With the iid model alone and the periodic policy, the engine reproduces
+// lifetime.hpp's reference-walker distribution; bench_scenarios and
+// test_scenarios pin the two engines against each other (exact scrub
+// accounting at zero fault rate, statistical bands on the hot
+// configuration).
 //
 // Determinism contract (same as simulate_lifetime / run_montecarlo):
 // run_scenario draws exactly ONE value from the caller's rng -- the base

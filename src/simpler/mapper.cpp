@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace pimecc::simpler {
 
@@ -76,7 +77,8 @@ std::vector<NodeId> evaluation_order(const Netlist& netlist,
 namespace {
 
 /// Allocation simulation over one candidate evaluation order; throws
-/// std::runtime_error on row overflow.
+/// std::invalid_argument when the inputs and constants alone exceed the row
+/// and std::runtime_error on working-set overflow.
 MappedProgram allocate_row(const Netlist& netlist, const MapperOptions& options,
                            const std::vector<NodeId>& order) {
   // Fanout over *live* consumers only: gates unreachable from any output
@@ -102,17 +104,24 @@ MappedProgram allocate_row(const Netlist& netlist, const MapperOptions& options,
     cell_of[in] = next_fixed++;
     program.input_cells.push_back(cell_of[in]);
   }
-  std::vector<bool> covered_cell(options.row_width, false);
-  for (const CellIndex c : program.input_cells) covered_cell[c] = true;
   for (NodeId id = 0; id < netlist.num_nodes(); ++id) {
     const NodeType t = netlist.node(id).type;
     if (t == NodeType::kConstZero || t == NodeType::kConstOne) {
       cell_of[id] = next_fixed++;
     }
   }
+  // Check the fit before any row-sized state is written.  A netlist wider
+  // than the row is a bad argument, not a scheduling failure, so it also
+  // skips map_to_row's fallback order.
   if (next_fixed > options.row_width) {
-    throw std::runtime_error("map_to_row: inputs do not fit in the row");
+    std::string message = "map_to_row: inputs and constants need ";
+    message += std::to_string(next_fixed);
+    message += " cells, row width is ";
+    message += std::to_string(options.row_width);
+    throw std::invalid_argument(message);
   }
+  std::vector<bool> covered_cell(options.row_width, false);
+  for (const CellIndex c : program.input_cells) covered_cell[c] = true;
 
   // All remaining cells are batch-initialized once up front.
   std::vector<CellIndex> ready;

@@ -72,8 +72,9 @@ struct MapperOptions {
   bool allow_input_recycling = true;
 };
 
-/// Maps `netlist` onto a single row.  Throws std::runtime_error if the
-/// netlist cannot fit (live values exceed the row width).
+/// Maps `netlist` onto a single row.  Throws std::invalid_argument if its
+/// inputs and constants alone exceed the row width, and std::runtime_error
+/// if the netlist cannot fit (live values exceed the row width).
 [[nodiscard]] MappedProgram map_to_row(const Netlist& netlist,
                                        const MapperOptions& options);
 

@@ -61,6 +61,13 @@ struct Shape {
   std::size_t po;
 };
 
+// gtest appends the printed parameter to each test's listed name.  Without
+// this it dumps the struct's raw bytes, which include the address of `name`
+// and so change from build to build.
+void PrintTo(const Shape& shape, std::ostream* os) {
+  *os << shape.name << " " << shape.pi << "->" << shape.po;
+}
+
 class ShapeTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(ShapeTest, MatchesDocumentedInterface) {

@@ -49,7 +49,7 @@ TEST(Fleet, TranslateRoundTripsShardMajorAddresses) {
   EXPECT_EQ(last, (arch::FleetAddress{2, 14, 14}));
   const arch::FleetAddress mid = fleet.translate(cells + 17);
   EXPECT_EQ(mid, (arch::FleetAddress{1, 1, 2}));
-  EXPECT_THROW(fleet.translate(3 * cells), std::out_of_range);
+  EXPECT_THROW((void)fleet.translate(3 * cells), std::out_of_range);
 }
 
 TEST(Fleet, LoadRandomMatchesPerShardSubstreamsAndDrawsOnce) {
@@ -437,6 +437,44 @@ TEST(FleetCampaign, ExcludedShardIsAnExactSubtraction) {
   for (std::size_t s = 0; s < 6; ++s) {
     if (s == 3) continue;
     EXPECT_EQ(campaign.shards[s], healthy.shards[s]) << "shard " << s;
+  }
+}
+
+// A shard excluded by an earlier campaign stays dead: the next campaign
+// skips its slot without quarantining it again, and its totals must still
+// cover only the slots that ran.
+TEST(FleetCampaign, SecondCampaignOverADegradedFleetCountsOnlySlotsThatRan) {
+  const rel::FleetMonteCarloConfig config = fleet_mc(6, 4, 0);
+  arch::CrossbarFleet fleet(campaign_fleet(6));  // no spares
+  fleet.inject_data_error(3, 0, 0);
+  fleet.inject_data_error(3, 0, 1);
+
+  util::Rng rng(91);
+  const rel::FleetCampaignResult first = rel::run_fleet_campaign(config, fleet, rng);
+  ASSERT_EQ(first.degradation.shards_excluded, 1u);
+  const rel::FleetCampaignResult second =
+      rel::run_fleet_campaign(config, fleet, rng);
+  ASSERT_TRUE(second.shards[3].skipped);
+
+  for (const rel::FleetCampaignResult* campaign : {&first, &second}) {
+    rel::MonteCarloResult expected;
+    for (const rel::FleetShardOutcome& slot : campaign->shards) {
+      if (slot.skipped) continue;
+      const rel::MonteCarloResult& ran = slot.stats;
+      expected.trials += ran.trials;
+      expected.trials_with_errors += ran.trials_with_errors;
+      expected.trials_failed += ran.trials_failed;
+      expected.blocks_total += ran.blocks_total;
+      expected.flips_injected += ran.flips_injected;
+      expected.blocks_failed += ran.blocks_failed;
+      expected.blocks_with_errors += ran.blocks_with_errors;
+      expected.corrected_data += ran.corrected_data;
+      expected.corrected_check += ran.corrected_check;
+      expected.detected_uncorrectable += ran.detected_uncorrectable;
+      expected.miscorrected += ran.miscorrected;
+    }
+    EXPECT_EQ(campaign->total, expected);
+    EXPECT_EQ(campaign->total.trials, 5u * config.trials_per_shard);
   }
 }
 

@@ -3,13 +3,17 @@
 // PIM machine, stuck-at cell semantics, the pluggable scrub policies'
 // deterministic schedules, and the scenario lifetime engine (zero-rate
 // exact cross-check against simulate_lifetime, iid statistical band, stuck
-// re-flip semantics, and thread-count determinism).
+// re-flip semantics, thread-count determinism, a golden pin of its results,
+// and the edge cases of its dirty-block bookkeeping).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/pim_machine.hpp"
@@ -625,6 +629,226 @@ TEST(ScenarioConcurrency, ResultsAreBitIdenticalAtAnyThreadCount) {
   config.threads = 0;  // full shared-executor width
   util::Rng rng_wide(42);
   expect_identical(serial, rel::run_scenario(config, rng_wide));
+}
+
+// ------------------------------------------------- scenario engine golden pin
+
+// Every ScenarioResult field of a fixed campaign, pinned so that any change
+// to the engine's bookkeeping must reproduce its results bit for bit.  The
+// values were produced by the engine before its dirty-block bookkeeping
+// (which scanned every block at each scrub event); TTF statistics are exact
+// hex-float literals.
+struct GoldenScenario {
+  std::size_t trials;
+  std::size_t failures;
+  std::uint64_t scrub_events;
+  std::uint64_t blocks_scrubbed;
+  std::uint64_t cells_scrubbed;
+  std::uint64_t faults_injected;
+  std::uint64_t errors_corrected;
+  std::uint64_t stuck_repairs;
+  std::uint64_t cells_replaced;
+  std::size_t ttf_count;
+  double ttf_mean;
+  double ttf_min;
+  double ttf_max;
+};
+
+void expect_golden(const rel::ScenarioResult& r, const GoldenScenario& g) {
+  EXPECT_EQ(r.trials, g.trials);
+  EXPECT_EQ(r.failures, g.failures);
+  EXPECT_EQ(r.scrub_events, g.scrub_events);
+  EXPECT_EQ(r.blocks_scrubbed, g.blocks_scrubbed);
+  EXPECT_EQ(r.cells_scrubbed, g.cells_scrubbed);
+  EXPECT_EQ(r.faults_injected, g.faults_injected);
+  EXPECT_EQ(r.errors_corrected, g.errors_corrected);
+  EXPECT_EQ(r.stuck_repairs, g.stuck_repairs);
+  EXPECT_EQ(r.cells_replaced, g.cells_replaced);
+  ASSERT_EQ(r.time_to_failure_hours.count(), g.ttf_count);
+  if (g.ttf_count == 0) return;
+  EXPECT_EQ(r.time_to_failure_hours.mean(), g.ttf_mean);
+  EXPECT_EQ(r.time_to_failure_hours.min(), g.ttf_min);
+  EXPECT_EQ(r.time_to_failure_hours.max(), g.ttf_max);
+}
+
+// Every fault preset x scrub policy, check bits on and off, at n=60 and a
+// SER high enough that most campaigns see failures, stuck repairs and
+// replacements.  Rows follow fault_preset_names() x
+// scrub_policy_preset_names() x {check bits, none}.
+TEST(ScenarioGolden, PresetPolicyGridAtN60) {
+  static constexpr GoldenScenario kGolden[] = {
+    {24, 12, 177, 2832, 722160, 284, 243, 0, 0, 12, 0x1.14p+7, 0x1.8p+5, 0x1.ep+7},  // iid periodic ck
+    {24, 7, 196, 3136, 705600, 247, 230, 0, 0, 7, 0x1.c492492492492p+6, 0x1.8p+4, 0x1.ep+7},  // iid periodic nock
+    {24, 7, 828, 5748, 1465740, 330, 307, 0, 0, 7, 0x1.09b6db6db6db7p+7, 0x1.2p+5, 0x1.bp+7},  // iid activation ck
+    {24, 9, 762, 5280, 1188000, 269, 241, 0, 0, 9, 0x1.c8p+6, 0x1.8p+4, 0x1.c8p+7},  // iid activation nock
+    {24, 9, 775, 3100, 790500, 310, 273, 0, 0, 9, 0x1.eaaaaaaaaaaabp+6, 0x1.2p+5, 0x1.8cp+7},  // iid region ck
+    {24, 11, 700, 2800, 630000, 244, 201, 0, 0, 11, 0x1.a0ba2e8ba2e8bp+6, 0x1.8p+4, 0x1.bcp+7},  // iid region nock
+    {24, 7, 828, 5748, 1465740, 330, 307, 0, 0, 7, 0x1.09b6db6db6db7p+7, 0x1.2p+5, 0x1.bp+7},  // iid hotrow ck
+    {24, 9, 762, 5280, 1188000, 269, 241, 0, 0, 9, 0x1.c8p+6, 0x1.8p+4, 0x1.c8p+7},  // iid hotrow nock
+    {24, 10, 185, 2960, 754800, 385, 344, 0, 0, 10, 0x1.08p+7, 0x1.8p+5, 0x1.ep+7},  // disturb periodic ck
+    {24, 15, 160, 2560, 576000, 318, 262, 0, 0, 15, 0x1.0ffffffffffffp+7, 0x1.8p+4, 0x1.ep+7},  // disturb periodic nock
+    {24, 17, 613, 4192, 1068960, 348, 301, 0, 0, 17, 0x1.ee1e1e1e1e1e1p+6, 0x1.8p+3, 0x1.d4p+7},  // disturb activation ck
+    {24, 13, 702, 4824, 1085400, 341, 306, 0, 0, 13, 0x1.fbb13b13b13b1p+6, 0x1.2p+4, 0x1.ep+7},  // disturb activation nock
+    {24, 20, 535, 2140, 545700, 300, 239, 0, 0, 20, 0x1.dap+6, 0x1.8p+3, 0x1.ep+7},  // disturb region ck
+    {24, 15, 671, 2684, 603900, 321, 270, 0, 0, 15, 0x1.04ccccccccccdp+7, 0x1.ep+4, 0x1.ep+7},  // disturb region nock
+    {24, 17, 613, 4192, 1068960, 348, 301, 0, 0, 17, 0x1.ee1e1e1e1e1e1p+6, 0x1.8p+3, 0x1.d4p+7},  // disturb hotrow ck
+    {24, 13, 702, 4824, 1085400, 341, 306, 0, 0, 13, 0x1.fbb13b13b13b1p+6, 0x1.2p+4, 0x1.ep+7},  // disturb hotrow nock
+    {24, 12, 173, 2768, 705840, 281, 238, 0, 0, 12, 0x1.04p+7, 0x1.8p+5, 0x1.8p+7},  // burst periodic ck
+    {24, 12, 171, 2736, 615600, 226, 196, 0, 0, 12, 0x1.f8p+6, 0x1.8p+4, 0x1.ep+7},  // burst periodic nock
+    {24, 8, 790, 5500, 1402500, 286, 265, 0, 0, 8, 0x1.dap+6, 0x1.5p+5, 0x1.bcp+7},  // burst activation ck
+    {24, 7, 785, 5456, 1227600, 255, 234, 0, 0, 7, 0x1.8p+6, 0x1.8p+3, 0x1.bp+7},  // burst activation nock
+    {24, 10, 721, 2884, 735420, 257, 224, 0, 0, 10, 0x1.9a66666666667p+6, 0x1.ep+4, 0x1.98p+7},  // burst region ck
+    {24, 10, 715, 2860, 643500, 236, 201, 0, 0, 10, 0x1.8cp+6, 0x1.8p+3, 0x1.bcp+7},  // burst region nock
+    {24, 8, 790, 5500, 1402500, 286, 265, 0, 0, 8, 0x1.dap+6, 0x1.5p+5, 0x1.bcp+7},  // burst hotrow ck
+    {24, 7, 785, 5456, 1227600, 255, 234, 0, 0, 7, 0x1.8p+6, 0x1.8p+3, 0x1.bp+7},  // burst hotrow nock
+    {24, 17, 131, 2096, 534480, 219, 131, 99, 25, 17, 0x1.b878787878788p+6, 0x1.8p+5, 0x1.bp+7},  // stuckat periodic ck
+    {24, 13, 165, 2640, 594000, 230, 148, 127, 31, 13, 0x1.f627627627627p+6, 0x1.8p+4, 0x1.ep+7},  // stuckat periodic nock
+    {24, 12, 716, 4952, 1262760, 286, 196, 168, 48, 12, 0x1.fp+6, 0x1.2p+4, 0x1.bcp+7},  // stuckat activation ck
+    {24, 14, 662, 4544, 1022400, 226, 131, 155, 43, 14, 0x1.d924924924926p+6, 0x1.8p+4, 0x1.bcp+7},  // stuckat activation nock
+    {24, 15, 665, 2660, 678300, 271, 173, 138, 37, 15, 0x1p+7, 0x1.2p+4, 0x1.bcp+7},  // stuckat region ck
+    {24, 13, 695, 2780, 625500, 239, 137, 158, 45, 13, 0x1.eec4ec4ec4ec5p+6, 0x1.8p+4, 0x1.bcp+7},  // stuckat region nock
+    {24, 12, 716, 4952, 1262760, 286, 196, 168, 48, 12, 0x1.fp+6, 0x1.2p+4, 0x1.bcp+7},  // stuckat hotrow ck
+    {24, 14, 662, 4544, 1022400, 226, 131, 155, 43, 14, 0x1.d924924924926p+6, 0x1.8p+4, 0x1.bcp+7},  // stuckat hotrow nock
+    {24, 18, 150, 2400, 612000, 295, 221, 35, 8, 18, 0x1.2p+7, 0x1.8p+5, 0x1.ep+7},  // mixed periodic ck
+    {24, 14, 154, 2464, 554400, 273, 213, 48, 14, 14, 0x1.d249249249249p+6, 0x1.8p+4, 0x1.ep+7},  // mixed periodic nock
+    {24, 16, 577, 3964, 1010820, 245, 186, 37, 8, 16, 0x1.998p+6, 0x1.2p+4, 0x1.d4p+7},  // mixed activation ck
+    {24, 6, 854, 5948, 1338300, 304, 267, 62, 18, 6, 0x1.18p+7, 0x1.bp+5, 0x1.c8p+7},  // mixed activation nock
+    {24, 16, 535, 2140, 545700, 234, 165, 27, 6, 16, 0x1.5a80000000001p+6, 0x1.2p+4, 0x1.a4p+7},  // mixed region ck
+    {24, 11, 714, 2856, 642600, 260, 206, 46, 14, 11, 0x1.bf45d1745d175p+6, 0x1.ep+4, 0x1.c8p+7},  // mixed region nock
+    {24, 16, 577, 3964, 1010820, 245, 186, 37, 8, 16, 0x1.998p+6, 0x1.2p+4, 0x1.d4p+7},  // mixed hotrow ck
+    {24, 6, 854, 5948, 1338300, 304, 267, 62, 18, 6, 0x1.18p+7, 0x1.bp+5, 0x1.c8p+7},  // mixed hotrow nock
+  };
+  std::size_t row = 0;
+  for (const std::string_view preset : rel::fault_preset_names()) {
+    for (const std::string_view policy : rel::scrub_policy_preset_names()) {
+      for (const bool check_bits : {true, false}) {
+        SCOPED_TRACE(std::string(preset) + " " + std::string(policy) +
+                     (check_bits ? " check bits" : " data only"));
+        rel::ScenarioConfig config;
+        config.n = 60;
+        config.m = 15;
+        config.trials = 24;
+        config.max_hours = 240.0;
+        config.include_check_bits = check_bits;
+        ASSERT_TRUE(rel::apply_fault_preset(preset, 1.5e4, config.faults));
+        ASSERT_TRUE(rel::apply_policy_preset(policy, config.policy));
+        util::Rng rng(20211205);
+        ASSERT_LT(row, std::size(kGolden));
+        expect_golden(rel::run_scenario(config, rng), kGolden[row++]);
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(kGolden));
+}
+
+// The shape `pimecc serve` runs for a default `scenario` request (n=1020,
+// m=15, periodic 24 h scrub, 240 h horizon) with trials=16, for each preset
+// at the served default SER and at one high enough to fail most trials.
+TEST(ScenarioGolden, ServedShape) {
+  static constexpr GoldenScenario kGolden[] = {
+    {16, 0, 160, 739840, 188659200, 0, 0, 0, 0, 0, 0x0p+0, 0x0p+0, 0x0p+0},  // iid fit=0.001000
+    {16, 16, 0, 0, 0, 2755, 0, 0, 0, 16, 0x1.8p+4, 0x1.8p+4, 0x1.8p+4},  // disturb fit=0.001000
+    {16, 1, 158, 730592, 186300960, 12, 0, 0, 0, 1, 0x1.bp+7, 0x1.bp+7, 0x1.bp+7},  // burst fit=0.001000
+    {16, 0, 160, 739840, 188659200, 0, 0, 0, 0, 0, 0x0p+0, 0x0p+0, 0x0p+0},  // stuckat fit=0.001000
+    {16, 16, 3, 13872, 3537360, 1635, 238, 0, 0, 16, 0x1.c8p+4, 0x1.8p+4, 0x1.8p+5},  // mixed fit=0.001000
+    {16, 16, 25, 115600, 29478000, 2308, 1402, 0, 0, 16, 0x1.ecp+5, 0x1.8p+4, 0x1.ep+7},  // iid fit=2000.000000
+    {16, 16, 0, 0, 0, 3576, 0, 0, 0, 16, 0x1.8p+4, 0x1.8p+4, 0x1.8p+4},  // disturb fit=2000.000000
+    {16, 15, 24, 110976, 28298880, 2208, 1341, 0, 0, 15, 0x1.7333333333333p+5, 0x1.8p+4, 0x1.8p+6},  // burst fit=2000.000000
+    {16, 16, 24, 110976, 28298880, 2197, 949, 605, 87, 16, 0x1.ep+5, 0x1.8p+4, 0x1.ep+6},  // stuckat fit=2000.000000
+    {16, 16, 0, 0, 0, 2174, 0, 0, 0, 16, 0x1.8p+4, 0x1.8p+4, 0x1.8p+4},  // mixed fit=2000.000000
+  };
+  std::size_t row = 0;
+  for (const double fit : {1e-3, 2e3}) {
+    for (const std::string_view preset : rel::fault_preset_names()) {
+      SCOPED_TRACE(std::string(preset) + " fit=" + std::to_string(fit));
+      rel::ScenarioConfig config;
+      config.n = 1020;
+      config.m = 15;
+      config.trials = 16;
+      config.max_hours = 240.0;
+      ASSERT_TRUE(rel::apply_fault_preset(preset, fit, config.faults));
+      ASSERT_TRUE(rel::apply_policy_preset("periodic", config.policy));
+      util::Rng rng(7);
+      ASSERT_LT(row, std::size(kGolden));
+      expect_golden(rel::run_scenario(config, rng), kGolden[row++]);
+    }
+  }
+  EXPECT_EQ(row, std::size(kGolden));
+}
+
+// ------------------------------------------------ dirty-block edge cases
+//
+// Fault rates high enough that every hazard is exactly 1 make these
+// campaigns deterministic, so the expected counters follow by hand.
+
+// One 2x2 block, data only.  Each window the iid mechanism flips all four
+// cells (the block passes 2 diffs) and the disturbance mechanism, acting
+// on both rows, flips all four back.  The block ends every window clean,
+// so no trial may fail and no scrub corrects anything.
+TEST(ScenarioDirtyList, FaultReflippedWithinAWindowLeavesNoFailure) {
+  rel::ScenarioConfig config;
+  config.n = 2;
+  config.m = 2;
+  config.trials = 3;
+  config.max_hours = 240.0;
+  config.include_check_bits = false;
+  config.faults.fit_per_bit = 1e15;
+  config.faults.disturb_per_activation = 1.0;
+  util::Rng rng(5);
+  const rel::ScenarioResult r = rel::run_scenario(config, rng);
+  EXPECT_EQ(r.failures, 0u);
+  EXPECT_EQ(r.scrub_events, 3u * 10u);
+  EXPECT_EQ(r.faults_injected, 3u * 10u * 8u);
+  EXPECT_EQ(r.errors_corrected, 0u);
+}
+
+// Four one-cell blocks, data only.  Every cell faults and latches in the
+// first window; each full scrub repairs it, the cell re-asserts and stays
+// listed, until its third repair remaps it to a spare -- which latches
+// again in the next window.  Over 10 windows: 10 repairs and 3
+// replacements per cell.
+TEST(ScenarioDirtyList, StuckCellSurvivesScrubsUntilReplaced) {
+  rel::ScenarioConfig config;
+  config.n = 2;
+  config.m = 1;
+  config.trials = 3;
+  config.max_hours = 240.0;
+  config.include_check_bits = false;
+  config.faults.fit_per_bit = 1e15;
+  config.faults.stuck_probability = 1.0;
+  config.faults.replace_after_repairs = 3;
+  util::Rng rng(5);
+  const rel::ScenarioResult r = rel::run_scenario(config, rng);
+  EXPECT_EQ(r.failures, 0u);
+  EXPECT_EQ(r.scrub_events, 3u * 10u);
+  EXPECT_EQ(r.faults_injected, 3u * 10u * 4u);
+  EXPECT_EQ(r.errors_corrected, 0u);
+  EXPECT_EQ(r.stuck_repairs, 3u * 10u * 4u);
+  EXPECT_EQ(r.cells_replaced, 3u * 3u * 4u);
+}
+
+// Trial 0 of this campaign fails at the first event, before any scrub,
+// with faults still outstanding; trial 1 then runs on the same lane and
+// survives the whole horizon.  Any state leaking across the trial reset
+// would change trial 1.  The expected counters are pinned from the engine
+// that cleared every block between trials.
+TEST(ScenarioDirtyList, TrialAfterAFailedTrialStartsClean) {
+  rel::ScenarioConfig config;
+  config.n = 60;
+  config.m = 15;
+  config.max_hours = 240.0;
+  config.threads = 1;
+  ASSERT_TRUE(rel::apply_fault_preset("mixed", 1.5e4, config.faults));
+
+  config.trials = 1;
+  util::Rng rng_first(30);
+  expect_golden(rel::run_scenario(config, rng_first),
+                {1, 1, 0, 0, 0, 5, 0, 0, 0, 1, 24.0, 24.0, 24.0});
+
+  config.trials = 2;
+  util::Rng rng_both(30);
+  expect_golden(rel::run_scenario(config, rng_both),
+                {2, 1, 10, 160, 40800, 14, 9, 0, 0, 1, 24.0, 24.0, 24.0});
 }
 
 }  // namespace

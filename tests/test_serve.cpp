@@ -398,6 +398,28 @@ TEST(ServeRobustness, ExecuteTagsFailuresWithErrorCodes) {
             std::string::npos);
 }
 
+// Circuits whose inputs alone overflow the row: the map and run paths
+// answer with a typed error, and the queue keeps serving afterwards.
+TEST(ServeRobustness, CircuitWiderThanTheRowIsATypedError) {
+  Server server;
+  const std::vector<std::string> lines = {
+      "map circuit=voter width=200", "run circuit=max n=255",
+      "run circuit=ctrl n=60 m=15 seed=3"};
+  std::vector<std::uint64_t> tickets;
+  for (const std::string& line : lines) {
+    tickets.push_back(server.submit(parse_ok(line)));
+  }
+  EXPECT_EQ(server.drain(), lines.size());
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Response r = server.take(tickets[i]);
+    EXPECT_FALSE(r.ok) << lines[i];
+    EXPECT_EQ(r.code, ErrorCode::kInvalidArgument) << lines[i] << ": " << r.error;
+  }
+  const Response ok = server.take(tickets[2]);
+  EXPECT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(ok.mismatches, 0u);
+}
+
 TEST(ServeRobustness, DeadlineAlreadyExpiredProducesTypedResponse) {
   Server server;
   Request urgent = parse_ok("mttf fit=1e-3 deadline_ms=0.000001");

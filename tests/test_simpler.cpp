@@ -357,6 +357,27 @@ TEST(Mapper, TinyRowThrows) {
   EXPECT_THROW((void)map_to_row(nl, options), std::runtime_error);
 }
 
+// Inputs and constants that alone overflow the row are a bad argument,
+// rejected before the mapper writes any per-cell state.
+TEST(Mapper, InputsWiderThanTheRowAreRejected) {
+  const Netlist wide = random_netlist(9, 40, 60, 4);
+  MapperOptions options;
+  options.row_width = 39;  // one cell short of the inputs alone
+  EXPECT_THROW((void)map_to_row(wide, options), std::invalid_argument);
+
+  // Constants occupy fixed cells too.
+  Netlist nl("consts");
+  const NodeId a = nl.add_input();
+  const NodeId b = nl.add_input();
+  const NodeId zero = nl.add_const(false);
+  const NodeId one = nl.add_const(true);
+  nl.mark_output(nl.add_nor({a, b, zero, one}));
+  options.row_width = 3;  // two inputs + two constants need four
+  EXPECT_THROW((void)map_to_row(nl, options), std::invalid_argument);
+  options.row_width = 5;
+  EXPECT_EQ(map_to_row(nl, options).input_cells.size(), 2u);
+}
+
 TEST(Mapper, InputRecyclingCanBeDisabled) {
   const Netlist nl = random_netlist(21, 12, 80, 4);
   MapperOptions recycle;
