@@ -13,9 +13,10 @@ endfunction()
 
 # pimecc_add_test(<name> [SOURCES <files...>] [LABELS <labels...>] [TIMEOUT <sec>])
 #
-# Builds tests/<name>.cpp (unless SOURCES overrides), links it against the
-# pimecc library and GoogleTest, and registers every TEST() in it with ctest
-# via gtest_discover_tests.  LABELS default to "unit"; TIMEOUT defaults to
+# Builds tests/<name>.cpp (unless SOURCES overrides), links it against
+# pimecc_reference (the bit-serial oracles, which link pimecc) and
+# GoogleTest, and registers every TEST() in it with ctest via
+# gtest_discover_tests.  LABELS default to "unit"; TIMEOUT defaults to
 # 120 seconds and is applied per discovered test.
 function(pimecc_add_test name)
   cmake_parse_arguments(PAT "" "TIMEOUT" "SOURCES;LABELS" ${ARGN})
@@ -30,7 +31,8 @@ function(pimecc_add_test name)
   endif()
 
   add_executable(${name} ${PAT_SOURCES})
-  target_link_libraries(${name} PRIVATE pimecc GTest::gtest GTest::gtest_main)
+  target_link_libraries(${name} PRIVATE pimecc_reference GTest::gtest
+                                        GTest::gtest_main)
   pimecc_compile_options(${name})
 
   gtest_discover_tests(${name}
@@ -52,7 +54,9 @@ endfunction()
 
 # pimecc_add_bench(<name> [SOURCES <files...>])
 #
-# Builds bench/<name>.cpp as a standalone executable linked against pimecc.
+# Builds bench/<name>.cpp as a standalone executable linked against
+# pimecc_reference, so throughput benches can time each engine against its
+# oracle.
 # Benches are not registered with ctest (they are long-running by design);
 # use the aggregate `benches` target to build them all.
 function(pimecc_add_bench name)
@@ -61,7 +65,7 @@ function(pimecc_add_bench name)
     set(PAB_SOURCES ${name}.cpp)
   endif()
   add_executable(${name} ${PAB_SOURCES})
-  target_link_libraries(${name} PRIVATE pimecc)
+  target_link_libraries(${name} PRIVATE pimecc_reference)
   pimecc_compile_options(${name})
   if(NOT TARGET benches)
     add_custom_target(benches)

@@ -1,85 +1,103 @@
 // Data-intensive workload: a database bitmap-index scan executed in-memory
-// across a multi-crossbar bank, with the background scrub running between
-// query steps (the controller-level deployment of the paper's periodic
-// check).
+// across a bank of crossbars, with a scrub running before each query step
+// (the controller-level deployment of the paper's periodic check).
 //
 // Setup: each crossbar row r is one record; columns 0..3 hold predicate
 // bitmaps (region flags), computed-in-place query results land in higher
 // columns.  Query: SELECT count(*) WHERE (A AND NOT B) OR C -- evaluated
 // with MAGIC NOR algebra simultaneously for every record of every unit,
-// while soft errors rain in and the incremental scrub keeps the bank clean.
+// while soft errors rain in and the block-row checks keep the bank clean.
+#include <cstdint>
 #include <iostream>
+#include <set>
+#include <vector>
 
-#include "arch/memory_system.hpp"
+#include "arch/pim_machine.hpp"
 #include "util/rng.hpp"
 
 int main() {
   using namespace pimecc;
 
-  arch::MemorySystemParams params;
-  params.unit.n = 45;
-  params.unit.m = 9;
-  params.unit_rows = 2;
-  params.unit_cols = 2;
-  arch::MemorySystem bank(params);
-  util::Rng rng(0xDB17ull);
-  bank.load_random(rng);
+  arch::ArchParams params;
+  params.n = 45;
+  params.m = 9;
+  constexpr std::size_t kUnits = 4;
+  constexpr std::size_t kErrorsPerStep = 2;
 
-  const std::size_t records = params.data_bits() / params.unit.n;
-  std::cout << "bank: " << bank.unit_count() << " crossbars, " << records
+  // One caller draw, unit u loaded from substream u: every unit's image
+  // is independent of how many units the bank has.
+  util::Rng rng(0xDB17ull);
+  const std::uint64_t base_seed = rng.next();
+  std::vector<arch::PimMachine> bank;
+  bank.reserve(kUnits);
+  for (std::size_t u = 0; u < kUnits; ++u) {
+    util::Rng unit_rng = util::Rng::for_stream(base_seed, u);
+    bank.emplace_back(params).load(
+        util::random_bit_matrix(params.n, params.n, unit_rng));
+  }
+
+  std::cout << "bank: " << bank.size() << " crossbars, " << kUnits * params.n
             << " records, bitmaps in columns A=0 B=1 C=2\n";
 
   // Expected result from a host-side golden evaluation.
   std::size_t expected = 0;
-  for (std::size_t ur = 0; ur < params.unit_rows; ++ur) {
-    for (std::size_t uc = 0; uc < params.unit_cols; ++uc) {
-      const auto& data = bank.unit(ur, uc).data();
-      for (std::size_t r = 0; r < params.unit.n; ++r) {
-        const bool a = data.get(r, 0), b = data.get(r, 1), c = data.get(r, 2);
-        if ((a && !b) || c) ++expected;
-      }
+  for (const arch::PimMachine& unit : bank) {
+    for (std::size_t r = 0; r < params.n; ++r) {
+      const bool a = unit.data().get(r, 0), b = unit.data().get(r, 1),
+                 c = unit.data().get(r, 2);
+      if ((a && !b) || c) ++expected;
     }
   }
 
-  // In-memory evaluation on every unit, interleaved with scrub ticks and
-  // injected soft errors.  (A AND NOT B) OR C = NOR(NOR(nb_or_... ) ...):
+  // In-memory evaluation on every unit, each preceded by injected soft
+  // errors and a scrub.  (A AND NOT B) OR C in MAGIC NOR algebra:
   //   t1 = NOR(A', B)   [= A AND NOT B], with A' = NOT A
   //   q  = NOR(NOR(t1, C)) = t1 OR C
   // Columns: 10 = A', 11 = t1, 12 = NOR(t1, C), 13 = q.
   std::size_t matched = 0;
   std::size_t scrub_corrections = 0;
-  for (std::size_t ur = 0; ur < params.unit_rows; ++ur) {
-    for (std::size_t uc = 0; uc < params.unit_cols; ++uc) {
-      arch::PimMachine& unit = bank.unit(ur, uc);
-      // Background radiation between queries...
-      bank.inject_random_errors(rng, 2);
-      // ...and the steady scrub heartbeat.
-      for (std::size_t t = 0; t < bank.ticks_per_pass(); ++t) {
-        scrub_corrections += bank.scrub_tick().corrected_data;
-      }
-
-      const std::size_t stages[4] = {10, 11, 12, 13};
-      unit.magic_init_rows_protected(stages);
-      const std::size_t in_a[1] = {0};
-      unit.magic_nor_rows_protected(in_a, 10);  // A'
-      const std::size_t in_t1[2] = {10, 1};
-      unit.magic_nor_rows_protected(in_t1, 11);  // A AND NOT B
-      const std::size_t in_or[2] = {11, 2};
-      unit.magic_nor_rows_protected(in_or, 12);  // NOR(t1, C)
-      const std::size_t in_q[1] = {12};
-      unit.magic_nor_rows_protected(in_q, 13);  // t1 OR C
-
-      for (std::size_t r = 0; r < params.unit.n; ++r) {
-        if (unit.data().get(r, 13)) ++matched;
+  bool all_consistent = true;
+  for (arch::PimMachine& unit : bank) {
+    // Background radiation between queries, at a rate the code corrects:
+    // at most one flipped cell per block between two scrubs...
+    std::set<std::size_t> hit_blocks;
+    while (hit_blocks.size() < kErrorsPerStep) {
+      const std::size_t r = rng.uniform_below(params.n);
+      const std::size_t c = rng.uniform_below(params.n);
+      if (hit_blocks.insert((r / params.m) * params.blocks_per_side() +
+                            c / params.m).second) {
+        unit.inject_data_error(r, c);
       }
     }
+    // ...and the scrub: one block-row check per band.
+    for (std::size_t band = 0; band < params.blocks_per_side(); ++band) {
+      scrub_corrections += unit.check_block_row(band * params.m).corrected_data;
+    }
+
+    const std::size_t stages[4] = {10, 11, 12, 13};
+    unit.magic_init_rows_protected(stages);
+    const std::size_t in_a[1] = {0};
+    unit.magic_nor_rows_protected(in_a, 10);  // A'
+    const std::size_t in_t1[2] = {10, 1};
+    unit.magic_nor_rows_protected(in_t1, 11);  // A AND NOT B
+    const std::size_t in_or[2] = {11, 2};
+    unit.magic_nor_rows_protected(in_or, 12);  // NOR(t1, C)
+    const std::size_t in_q[1] = {12};
+    unit.magic_nor_rows_protected(in_q, 13);  // t1 OR C
+
+    for (std::size_t r = 0; r < params.n; ++r) {
+      if (unit.data().get(r, 13)) ++matched;
+    }
+    all_consistent = all_consistent && unit.ecc_consistent();
   }
 
+  const bool repaired = scrub_corrections == kUnits * kErrorsPerStep;
   std::cout << "query (A AND NOT B) OR C: " << matched << " records matched, "
             << expected << " expected -> "
             << (matched == expected ? "CORRECT" : "WRONG") << '\n'
-            << "scrub corrected " << scrub_corrections
+            << "scrub corrected " << scrub_corrections << " of "
+            << kUnits * kErrorsPerStep
             << " soft errors during the scan; bank consistent: "
-            << std::boolalpha << bank.all_consistent() << '\n';
-  return matched == expected && bank.all_consistent() ? 0 : 1;
+            << std::boolalpha << all_consistent << '\n';
+  return matched == expected && repaired && all_consistent ? 0 : 1;
 }

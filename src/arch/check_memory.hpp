@@ -23,9 +23,6 @@
 
 namespace pimecc::arch {
 
-/// Which diagonal family a check bit belongs to.
-enum class Axis : unsigned char { kLeading, kCounter };
-
 /// Check-bit storage as 2m physical crossbars.
 class CheckMemory {
  public:

@@ -1,14 +1,14 @@
 // pimecc -- arch/fleet.hpp
 //
 // Sharded multi-crossbar fleet: the scale-out layer over the single-unit
-// engines.  Where MemorySystem models one bank of a handful of PimMachine
-// units with full cycle-accurate protocol state, CrossbarFleet owns
-// thousands of crossbar *shards* in structure-of-arrays form -- parallel
-// per-shard arrays of data images, ArrayCode check images, and counters,
-// indexed by shard -- so bulk operations stream each shard's contiguous
-// image through the PR 6 SIMD kernel tables (ArrayCode's band walks) and
-// fan the shards out over the persistent work-stealing executor
-// (util/executor.hpp) with dynamic shard tickets.
+// engines.  Where a PimMachine models one crossbar with full cycle-accurate
+// protocol state, CrossbarFleet owns thousands of crossbar *shards* in
+// structure-of-arrays form -- parallel per-shard arrays of data images,
+// ArrayCode check images, and counters, indexed by shard -- so bulk
+// operations stream each shard's contiguous image through the SIMD kernel
+// tables (ArrayCode's band walks) and fan the shards out over the
+// persistent work-stealing executor (util/executor.hpp) with dynamic shard
+// tickets.
 //
 // Determinism contract (the fleet inherits the PR 5 discipline):
 //   - load_random draws ONE base seed from the caller and fills shard s

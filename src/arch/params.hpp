@@ -15,6 +15,9 @@ enum class HazardPolicy : unsigned char {
   kStall,    ///< wait until the in-flight write-back completes
 };
 
+/// Which diagonal family a check bit belongs to.
+enum class Axis : unsigned char { kLeading, kCounter };
+
 /// Static configuration of one MEM + CMEM unit.
 struct ArchParams {
   std::size_t n = 1020;        ///< MEM crossbar is n x n

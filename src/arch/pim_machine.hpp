@@ -32,7 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "arch/check_memory.hpp"  // Axis
 #include "arch/params.hpp"
 #include "core/array_code.hpp"
 #include "util/bitmatrix.hpp"

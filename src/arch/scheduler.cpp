@@ -120,8 +120,7 @@ std::uint64_t ProtocolScheduler::schedule_plain_op() {
 std::uint64_t ProtocolScheduler::schedule_critical_op(CheckCellKey key) {
   ++stats_.critical_ops;
   const std::uint64_t tc = params_.transfer_cycles;
-  const std::uint64_t pass_span = 3 * tc + params_.xor3_cycles +
-                                  params_.writeback_cycles;
+  const std::uint64_t pass_span = params_.pc_occupancy_cycles();
   // Old-data transfer: needs MEM and both PC passes ready to receive, and
   // any in-flight update of the same check bits to have retired (kStall).
   // With >= 2 PCs the two axis passes run in parallel, so the op can start

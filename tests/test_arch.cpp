@@ -184,6 +184,10 @@ TEST(ProcessingXbar, UsesExactlyEightNors) {
   pc.load_operand(ProcessingXbar::kC, util::BitVector(4));
   pc.compute();
   EXPECT_EQ(pc.nor_ops(), 8u);  // the paper's "XOR3 in 8 MAGIC NORs"
+  // The scheduler's analytic PC costs agree with the microprogram: one
+  // update is init + 3 transfers + 8 NORs + write-back.
+  EXPECT_EQ(pc.nor_ops(), ArchParams{}.xor3_cycles);
+  EXPECT_EQ(1 + ArchParams{}.pc_occupancy_cycles(), 13u);
 }
 
 TEST(ProcessingXbar, ComputeWithoutInitThrows) {

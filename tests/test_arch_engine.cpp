@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "arch/pc_controller.hpp"
 #include "arch/pim_machine.hpp"
 #include "arch/reference_pim_machine.hpp"
 #include "arch/scheduler.hpp"
@@ -512,82 +511,6 @@ TEST(SchedulerEngine, ConstructorValidatesParamsBeforeAnyState) {
   p = make_params(45, 9);
   p.xor3_cycles = 0;
   EXPECT_THROW(arch::ProtocolScheduler{p}, std::invalid_argument);
-}
-
-// ------------------------------------------------- PC controller batching
-
-TEST(PcControllerBatch, QueuedUpdatesDrainBackToBack) {
-  const std::size_t lanes = 48;
-  const std::size_t updates = 5;
-  util::Rng rng(0xBA7C);
-  arch::PcController fsm(lanes);
-  std::vector<util::BitVector> old_lines, checks, new_lines;
-  for (std::size_t u = 0; u < updates; ++u) {
-    old_lines.push_back(random_vector(lanes, rng));
-    checks.push_back(random_vector(lanes, rng));
-    new_lines.push_back(random_vector(lanes, rng));
-    fsm.enqueue(old_lines.back(), checks.back(), new_lines.back());
-  }
-  EXPECT_TRUE(fsm.busy());
-  EXPECT_EQ(fsm.pending(), updates - 1);  // first update armed immediately
-  const arch::PcController::BatchResult batch = fsm.run_batch_to_completion();
-  EXPECT_EQ(batch.cycles, 13u * updates);  // no idle cycles between updates
-  ASSERT_EQ(batch.updated_checks.size(), updates);
-  for (std::size_t u = 0; u < updates; ++u) {
-    EXPECT_EQ(batch.updated_checks[u], old_lines[u] ^ new_lines[u] ^ checks[u])
-        << "update " << u;
-  }
-  EXPECT_FALSE(fsm.busy());
-  EXPECT_EQ(fsm.pending(), 0u);
-}
-
-TEST(PcControllerBatch, BatchMatchesSerialRuns) {
-  const std::size_t lanes = 33;
-  util::Rng rng(0xBA7D);
-  std::vector<util::BitVector> old_lines, checks, new_lines;
-  for (std::size_t u = 0; u < 4; ++u) {
-    old_lines.push_back(random_vector(lanes, rng));
-    checks.push_back(random_vector(lanes, rng));
-    new_lines.push_back(random_vector(lanes, rng));
-  }
-  arch::PcController serial(lanes);
-  std::vector<util::BitVector> serial_results;
-  std::uint64_t serial_cycles = 0;
-  for (std::size_t u = 0; u < 4; ++u) {
-    serial.start(old_lines[u], checks[u], new_lines[u]);
-    const arch::PcController::RunResult r = serial.run_to_completion();
-    serial_results.push_back(r.updated_check);
-    serial_cycles += r.cycles;
-  }
-  arch::PcController batched(lanes);
-  for (std::size_t u = 0; u < 4; ++u) {
-    batched.enqueue(old_lines[u], checks[u], new_lines[u]);
-  }
-  const arch::PcController::BatchResult batch = batched.run_batch_to_completion();
-  EXPECT_EQ(batch.updated_checks, serial_results);
-  EXPECT_EQ(batch.cycles, serial_cycles);
-}
-
-TEST(PcControllerBatch, EnqueueValidatesBeforeTouchingState) {
-  arch::PcController fsm(8);
-  EXPECT_THROW(fsm.enqueue(util::BitVector(7), util::BitVector(8),
-                           util::BitVector(8)),
-               std::invalid_argument);
-  EXPECT_FALSE(fsm.busy());
-  EXPECT_EQ(fsm.pending(), 0u);
-
-  fsm.enqueue(util::BitVector(8), util::BitVector(8), util::BitVector(8));
-  EXPECT_TRUE(fsm.busy());
-  EXPECT_THROW(fsm.enqueue(util::BitVector(8), util::BitVector(9),
-                           util::BitVector(8)),
-               std::invalid_argument);
-  EXPECT_EQ(fsm.pending(), 0u);  // the rejected update was not queued
-
-  fsm.enqueue(util::BitVector(8), util::BitVector(8), util::BitVector(8));
-  EXPECT_EQ(fsm.pending(), 1u);
-  fsm.reset();  // controller abort drops the queue
-  EXPECT_FALSE(fsm.busy());
-  EXPECT_EQ(fsm.pending(), 0u);
 }
 
 // ------------------------------------------------------------- smoke gate

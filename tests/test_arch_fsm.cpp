@@ -1,9 +1,7 @@
-// Tests for the PC controller FSM and the protected program VM -- the
-// cycle-level and end-to-end compositions added on top of the base
-// architecture model.
+// Tests for the protected program VM -- the end-to-end composition of
+// SIMPLER and the base architecture model.
 #include <gtest/gtest.h>
 
-#include "arch/pc_controller.hpp"
 #include "arch/pim_machine.hpp"
 #include "simpler/logic.hpp"
 #include "simpler/mapper.hpp"
@@ -12,66 +10,6 @@
 
 namespace pimecc {
 namespace {
-
-// ------------------------------------------------------------ PcController
-
-TEST(PcController, WalksTheDocumentedStateSequence) {
-  arch::PcController fsm(4);
-  EXPECT_EQ(fsm.state(), arch::PcState::kIdle);
-  EXPECT_FALSE(fsm.busy());
-  EXPECT_EQ(fsm.step(), std::nullopt);  // idle clocks do nothing
-
-  fsm.start(util::BitVector(4), util::BitVector(4), util::BitVector(4));
-  EXPECT_TRUE(fsm.busy());
-  const arch::PcState expected[] = {
-      arch::PcState::kInit, arch::PcState::kLoadOld, arch::PcState::kLoadCheck,
-      arch::PcState::kLoadNew, arch::PcState::kNor1, arch::PcState::kNor2,
-      arch::PcState::kNor3, arch::PcState::kNor4, arch::PcState::kNor5,
-      arch::PcState::kNor6, arch::PcState::kNor7, arch::PcState::kNor8,
-      arch::PcState::kWriteBack};
-  for (const arch::PcState s : expected) {
-    EXPECT_EQ(fsm.state(), s);
-    const auto wb = fsm.step();
-    EXPECT_EQ(wb.has_value(), s == arch::PcState::kWriteBack);
-  }
-  EXPECT_EQ(fsm.state(), arch::PcState::kDone);
-  EXPECT_FALSE(fsm.busy());
-}
-
-TEST(PcController, ComputesTheContinuousUpdate) {
-  const std::size_t lanes = 64;
-  util::Rng rng(3);
-  util::BitVector old_line(lanes), check(lanes), new_line(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    old_line.set(i, rng.bernoulli(0.5));
-    check.set(i, rng.bernoulli(0.5));
-    new_line.set(i, rng.bernoulli(0.5));
-  }
-  arch::PcController fsm(lanes);
-  fsm.start(old_line, check, new_line);
-  const arch::PcController::RunResult result = fsm.run_to_completion();
-  EXPECT_EQ(result.updated_check, old_line ^ new_line ^ check);
-  EXPECT_EQ(result.cycles, 13u);  // init + 3 transfers + 8 NORs + write-back
-}
-
-TEST(PcController, RejectsStartWhileBusyAndBadLengths) {
-  arch::PcController fsm(8);
-  EXPECT_THROW(fsm.start(util::BitVector(7), util::BitVector(8),
-                         util::BitVector(8)),
-               std::invalid_argument);
-  fsm.start(util::BitVector(8), util::BitVector(8), util::BitVector(8));
-  EXPECT_THROW(fsm.start(util::BitVector(8), util::BitVector(8),
-                         util::BitVector(8)),
-               std::logic_error);
-  fsm.reset();
-  EXPECT_FALSE(fsm.busy());
-  EXPECT_THROW(fsm.run_to_completion(), std::logic_error);
-}
-
-TEST(PcController, StateNamesAreHumanReadable) {
-  EXPECT_STREQ(to_string(arch::PcState::kLoadCheck), "load-check");
-  EXPECT_STREQ(to_string(arch::PcState::kNor8), "nor8");
-}
 
 // ------------------------------------------------------------ protected VM
 
