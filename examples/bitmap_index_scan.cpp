@@ -43,8 +43,8 @@ int main() {
   std::size_t expected = 0;
   for (const arch::PimMachine& unit : bank) {
     for (std::size_t r = 0; r < params.n; ++r) {
-      const bool a = unit.data().get(r, 0), b = unit.data().get(r, 1),
-                 c = unit.data().get(r, 2);
+      const bool a = unit.get(r, 0), b = unit.get(r, 1),
+                 c = unit.get(r, 2);
       if ((a && !b) || c) ++expected;
     }
   }
@@ -86,7 +86,7 @@ int main() {
     unit.magic_nor_rows_protected(in_q, 13);  // t1 OR C
 
     for (std::size_t r = 0; r < params.n; ++r) {
-      if (unit.data().get(r, 13)) ++matched;
+      if (unit.get(r, 13)) ++matched;
     }
     all_consistent = all_consistent && unit.ecc_consistent();
   }

@@ -94,7 +94,7 @@ int main() {
   for (std::size_t r = 0; r < kImgRows; ++r) {
     util::BitVector shifted(params.n);
     for (std::size_t c = 1; c < kImgCols; ++c) {
-      shifted.set(c, machine.data().get(r, c - 1));
+      shifted.set(c, machine.get(r, c - 1));
     }
     machine.write_row_protected(30 + r, shifted);
   }
@@ -116,7 +116,7 @@ int main() {
     for (std::size_t c = 0; c < kImgCols; ++c) {
       const bool img = image.get(r, c);
       const bool left = c > 0 && image.get(r, c - 1);
-      correct = correct && machine.data().get(45 + r, c) == (img && !left);
+      correct = correct && machine.get(45 + r, c) == (img && !left);
     }
   }
   std::cout << "\nedge map correct: " << std::boolalpha << correct

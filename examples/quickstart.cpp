@@ -59,7 +59,7 @@ int main() {
   bool all_correct = true;
   for (std::size_t r = 0; r < params.n; ++r) {
     const bool expected = !(image.get(r, 0) || image.get(r, 1));
-    all_correct = all_correct && machine.data().get(r, out_col) == expected;
+    all_correct = all_correct && machine.get(r, out_col) == expected;
   }
   std::cout << "all 45 in-memory NOR results correct: " << all_correct << '\n';
 

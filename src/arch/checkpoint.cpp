@@ -48,7 +48,7 @@ void save_machine_checkpoint(std::ostream& os, const PimMachine& machine,
   put_params(w, machine.params());
   w.bitmatrix(machine.data());
 
-  const ecc::ArrayCode& code = machine.check_code();
+  const ecc::ArrayCode code = machine.check_code();
   const std::size_t bps = code.blocks_per_side();
   w.u64(code.block_count());
   for (std::size_t br = 0; br < bps; ++br) {

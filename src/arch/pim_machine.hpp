@@ -14,18 +14,33 @@
 // periodic scrubs then detect/correct them exactly as the architecture
 // would.
 //
-// This is the *word-parallel* production machine: check bits live in an
-// ecc::ArrayCode (one diagonal-parity family per 64-bit word), initial
-// encodes and verifications ride the encode_all/scrub/consistent_with band
-// walks, and protocol steps 1+3 are computed *differentially* from the
-// written line via the diagword kernel -- one rotate+XOR per affected
-// family, never a re-encode (ArrayCode::apply_line_delta).  Cycle
-// accounting is unchanged: the protocol's analytic costs are identical to
-// routing the lines through the shifter bank into genuine XOR3
+// This is the *word-parallel* production machine.  The MEM is stored
+// lane-major: physical row j of the crossbar holds logical column j, so a
+// row-parallel gate (SIMPLER's mode: one gate in every row at once) is a
+// masked word op over n/64 words of one physical row, and its ECC delta is
+// that physical row before XOR after -- no column gathers.  Column-parallel
+// ops take the crossbar's scalar kRow path instead; no production caller
+// issues them.
+//
+// The check bits are an ecc::ArrayCode over the physical (transposed)
+// image.  Transposition keeps the diagonal code intact up to an index
+// relabel (ArrayCode::transposed): block (i, j) <-> (j, i), leading index d
+// unchanged, counter index d <-> (m - d) mod m.  So protocol steps 1+3 are
+// one differential rotate+XOR per affected block (apply_line_delta), a
+// logical block-row check is a physical block-column scrub_band, and
+// scrub/ecc_consistent run on the physical image unchanged.  Every public
+// accessor and entry point speaks the logical frame: data(), get(),
+// column_into(), check_code(), inject_*, restore() and the row-activation
+// tallies translate at the boundary, so checkpoints and all observable
+// state are the same as a row-major machine's.
+//
+// Cycle accounting is unchanged: the protocol's analytic costs are
+// identical to routing the lines through the shifter bank into genuine XOR3
 // microprograms.  The original bit-serial composition is retained verbatim
 // as ReferencePimMachine (reference_pim_machine.hpp) and must match this
-// machine exactly in contents, check state, cycle counters, and correction
-// counts on any program -- pinned by tests/test_arch_engine.cpp.
+// machine exactly in contents, check state, cycle counters, row
+// activations, and correction counts on any program -- pinned by
+// tests/test_arch_engine.cpp.
 #pragma once
 
 #include <cstdint>
@@ -77,18 +92,37 @@ class PimMachine {
   // --- data movement -------------------------------------------------------
   /// Loads an n x n image into the MEM and (re)encodes all check bits.
   void load(const util::BitMatrix& image);
-  /// Reads the MEM contents (no ECC check; use check/scrub for that).
-  [[nodiscard]] const util::BitMatrix& data() const noexcept {
-    return mem_.contents();
+  /// A copy of the MEM contents in the logical frame (no ECC check; use
+  /// check/scrub for that).  One word-blocked transpose; for single cells
+  /// or columns use get() / column_into().
+  [[nodiscard]] util::BitMatrix data() const {
+    return util::transpose(mem_.contents());
+  }
+  /// Zero-cost inspection of cell (r, c) (no cycles, no activations).
+  [[nodiscard]] bool get(std::size_t r, std::size_t c) const {
+    return mem_.contents().at(c, r);
+  }
+  /// Zero-cost inspection of column c into `out` (resized to n): one
+  /// physical-row copy.
+  void column_into(std::size_t c, util::BitVector& out) const {
+    out = mem_.contents().row(c);
   }
   /// Controller write of one full row with continuous check-bit update.
   void write_row_protected(std::size_t r, const util::BitVector& values);
+  /// Controller write of the masked cells of row r:
+  /// row <- (row AND NOT mask) OR (values AND mask).  The same protocol as
+  /// write_row_protected of that merged image -- one write cycle, one
+  /// critical op, one activation of row r -- but only the masked cells are
+  /// touched.  `values` and `mask` have length n.
+  void write_row_masked_protected(std::size_t r, const util::BitVector& values,
+                                  const util::BitVector& mask);
 
   // --- protected stateful logic -------------------------------------------
   /// Row-parallel MAGIC NOR with the critical-operation protocol:
   /// out(r, out_col) = NOR_i in(r, in_cols[i]) for each selected row.
   /// Output cells must have been initialized (magic_init_protected).
-  /// Empty `rows` selects all rows.
+  /// Empty `rows` selects all rows; explicit rows become the word op's lane
+  /// mask.
   void magic_nor_rows_protected(std::span<const std::size_t> in_cols,
                                 std::size_t out_col,
                                 std::span<const std::size_t> rows = {});
@@ -122,23 +156,23 @@ class PimMachine {
   void inject_check_error(Axis axis, std::size_t diagonal, ecc::BlockIndex block);
 
   [[nodiscard]] const MachineCounters& counters() const noexcept { return counters_; }
-  /// The check-bit state (functional view of the CMEM contents).
-  [[nodiscard]] const ecc::ArrayCode& check_code() const noexcept { return code_; }
+  /// The check-bit state (functional view of the CMEM contents), relabelled
+  /// into the logical frame: the code a row-major machine would hold.
+  [[nodiscard]] ecc::ArrayCode check_code() const { return code_.transposed(); }
 
   // --- workload observability -----------------------------------------------
-  /// Per-row wordline-activation accounting of the MEM crossbar (see
-  /// xbar::Crossbar::row_activations): the workload signal consumed by the
-  /// scenario-diversity fault models (fault/disturbance.hpp) and the
-  /// activation-triggered scrub policies (reliability/scrub_policy.hpp).
-  /// Campaign-local observability -- not checkpointed; restore() leaves
-  /// the history untouched and reset starts it fresh.
-  [[nodiscard]] std::uint64_t mem_row_activations(std::size_t r) const {
-    return mem_.row_activations(r);
-  }
-  [[nodiscard]] std::vector<std::uint64_t> mem_row_activation_snapshot() const {
-    return mem_.row_activation_snapshot();
-  }
-  void reset_mem_row_activations() noexcept { mem_.reset_row_activations(); }
+  /// Per-row wordline-activation accounting of the logical MEM rows, with
+  /// xbar::Crossbar::row_activations' rules: controller row writes and
+  /// column-parallel gate lines drive single rows, row-parallel gates over
+  /// all lanes drive every row (one broadcast count).  The workload signal
+  /// consumed by the scenario-diversity fault models (fault/disturbance.hpp)
+  /// and the activation-triggered scrub policies
+  /// (reliability/scrub_policy.hpp).  Campaign-local observability -- not
+  /// checkpointed; restore() leaves the history untouched and reset starts
+  /// it fresh.
+  [[nodiscard]] std::uint64_t mem_row_activations(std::size_t r) const;
+  [[nodiscard]] std::vector<std::uint64_t> mem_row_activation_snapshot() const;
+  void reset_mem_row_activations() noexcept;
 
   // --- checkpointing (arch/checkpoint.hpp) ---------------------------------
   /// MEM crossbar counter snapshot: the machine's mem_cycles accounting is
@@ -147,7 +181,8 @@ class PimMachine {
     return mem_.counters();
   }
   /// Replaces the complete machine state with a previously captured
-  /// snapshot: MEM image, check bits (taken verbatim -- they may be
+  /// snapshot, all in the logical frame: MEM image, check bits (taken
+  /// verbatim up to the frame relabel -- they may be
   /// deliberately inconsistent with the data, e.g. under injected faults),
   /// and both counter sets.  Validates every shape against this machine's
   /// geometry *before* mutating anything, so a throwing restore leaves the
@@ -158,21 +193,29 @@ class PimMachine {
 
  private:
   /// Runs protocol steps 1+3 for a line write, differentially: `delta` is
-  /// old XOR new of the written line.  `along_rows` true means the written
-  /// line is a column (row-parallel op).
-  void update_check_bits_for_line(bool along_rows, std::size_t line,
+  /// old XOR new of the written line.  `physical_column` true means the
+  /// written line is a physical column (a logical row write or a
+  /// column-parallel op); false means a physical row (a row-parallel op).
+  void update_check_bits_for_line(bool physical_column, std::size_t line,
                                   const util::BitVector& delta);
-  CheckReport check_block_band(bool row_band, std::size_t band);
+  /// Checks the physical block band: a row band is a logical block-column.
+  CheckReport check_block_band(bool physical_row_band, std::size_t band);
+  /// Activation tally of a set of explicitly driven logical rows.
+  void activate_rows(std::span<const std::size_t> rows) noexcept {
+    for (const std::size_t r : rows) ++row_activation_extra_[r];
+  }
 
   ArchParams params_;
-  xbar::Crossbar mem_;
-  ecc::ArrayCode code_;
+  xbar::Crossbar mem_;  ///< lane-major: physical row j = logical column j
+  ecc::ArrayCode code_;  ///< check bits of the physical image
   MachineCounters counters_;
+  std::uint64_t broadcast_activations_ = 0;  ///< all-row drives
+  std::vector<std::uint64_t> row_activation_extra_;  ///< addressed drives
 
   // Scratch buffers reused across operations so the protected hot path is
   // allocation-free in steady state.
-  util::BitVector old_line_;  ///< line snapshot, then delta in place
-  util::BitVector new_line_;
+  util::BitVector delta_;  ///< line snapshot, then old XOR new in place
+  util::BitVector line_;   ///< post-op column gather (column-parallel ops)
   std::vector<util::BitVector> init_snapshots_;
 };
 

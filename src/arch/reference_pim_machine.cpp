@@ -113,6 +113,18 @@ void ReferencePimMachine::write_row_protected(std::size_t r,
   update_check_bits_for_line(false, r, old_line, values);
 }
 
+void ReferencePimMachine::write_row_masked_protected(
+    std::size_t r, const util::BitVector& values, const util::BitVector& mask) {
+  detail::require_index(r, n(), "row");
+  if (values.size() != n() || mask.size() != n()) {
+    throw std::invalid_argument(
+        "PimMachine::write_row_masked_protected: size mismatch");
+  }
+  util::BitVector merged = mem_.contents().row(r);
+  merged.assign_masked(values, mask);
+  write_row_protected(r, merged);
+}
+
 void ReferencePimMachine::magic_nor_rows_protected(
     std::span<const std::size_t> in_cols, std::size_t out_col,
     std::span<const std::size_t> rows) {

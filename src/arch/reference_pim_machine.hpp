@@ -14,13 +14,14 @@
 // the production machine is PimMachine (pim_machine.hpp), which computes
 // check-bit updates differentially on the diagword kernel and must match
 // this model exactly in memory contents, check state, cycle counters,
-// correction counts, and throwing behavior on any program.  Keep the two
-// classes' public APIs identical (the same contract as ReferenceCrossbar vs
-// Crossbar and ReferenceBlockCodec vs BlockCodec) -- the one sanctioned
-// difference is the check-state accessor, which exposes each machine's own
-// storage: check_memory() (physical CMEM crossbars) here vs check_code()
-// (functional ArrayCode) on PimMachine; CheckMemory::matches bridges the
-// two in the differential harness.
+// correction counts, row activations, and throwing behavior on any program.
+// Keep the two classes' public APIs identical (the same contract as
+// ReferenceCrossbar vs Crossbar and ReferenceBlockCodec vs BlockCodec) --
+// the sanctioned differences are the check-state accessor, which exposes
+// each machine's own storage: check_memory() (physical CMEM crossbars) here
+// vs check_code() (functional ArrayCode) on PimMachine, bridged by
+// CheckMemory::matches in the differential harness; and data(), which
+// PimMachine returns by value because it stores the MEM transposed.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,16 @@ class ReferencePimMachine {
   [[nodiscard]] const util::BitMatrix& data() const noexcept {
     return mem_.contents();
   }
+  [[nodiscard]] bool get(std::size_t r, std::size_t c) const {
+    return mem_.contents().at(r, c);
+  }
+  void column_into(std::size_t c, util::BitVector& out) const {
+    mem_.contents().column_into(c, out);
+  }
   void write_row_protected(std::size_t r, const util::BitVector& values);
+  /// The merged row image through write_row_protected.
+  void write_row_masked_protected(std::size_t r, const util::BitVector& values,
+                                  const util::BitVector& mask);
 
   void magic_nor_rows_protected(std::span<const std::size_t> in_cols,
                                 std::size_t out_col,
@@ -77,7 +87,7 @@ class ReferencePimMachine {
 
   /// Per-row wordline-activation accounting of the MEM crossbar; identical
   /// in counts to PimMachine::mem_row_activations on any program (same
-  /// contract as every other counter pair).
+  /// contract as every other counter pair, pinned by the lockstep).
   [[nodiscard]] std::uint64_t mem_row_activations(std::size_t r) const {
     return mem_.row_activations(r);
   }

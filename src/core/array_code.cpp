@@ -1,5 +1,6 @@
 #include "core/array_code.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -299,19 +300,29 @@ void ArrayCode::apply_line_delta(bool line_is_column, std::size_t line,
     }
     return;
   }
+  // Only blocks overlapping a nonzero delta word can change; a controller
+  // write of a few cells touches one or two of the n/m blocks.  `next`
+  // keeps a block straddling two nonzero words from being applied twice.
   const std::span<const std::uint64_t> words = delta.words();
-  for (std::size_t g = 0; g < bps; ++g) {
-    const std::uint64_t dseg = diagword::extract(words, g * mm, mm);
-    if (dseg == 0) continue;
-    CheckBits& check =
-        line_is_column ? blocks_[g * bps + band] : blocks_[band * bps + g];
-    const std::uint64_t dlead = diagword::rotl(dseg, rem, mm);
-    const std::uint64_t dcnt =
-        line_is_column
-            ? diagword::rotl(dseg, (mm - rem) % mm, mm)
-            : diagword::rotl(diagword::stride_permute(dseg, mm - 1, mm), rem, mm);
-    check.leading.set_low_word(check.leading.low_word() ^ dlead);
-    check.counter.set_low_word(check.counter.low_word() ^ dcnt);
+  std::size_t next = 0;
+  for (std::size_t wi = 0; wi < words.size(); ++wi) {
+    if (words[wi] == 0) continue;
+    const std::size_t last = std::min(bps - 1, (wi * 64 + 63) / mm);
+    for (std::size_t g = std::max(next, wi * 64 / mm); g <= last; ++g) {
+      const std::uint64_t dseg = diagword::extract(words, g * mm, mm);
+      if (dseg == 0) continue;
+      CheckBits& check =
+          line_is_column ? blocks_[g * bps + band] : blocks_[band * bps + g];
+      // Both deltas stay within the low m bits, so XORing them straight
+      // into word 0 keeps the padding invariant.
+      const std::uint64_t dlead = diagword::rotl(dseg, rem, mm);
+      const std::uint64_t dcnt =
+          line_is_column ? diagword::rotl(dseg, (mm - rem) % mm, mm)
+                         : diagword::rotl(diagword::reflect(dseg, mm), rem, mm);
+      check.leading.words_mutable()[0] ^= dlead;
+      check.counter.words_mutable()[0] ^= dcnt;
+    }
+    next = last + 1;
   }
 }
 
@@ -341,6 +352,27 @@ bool ArrayCode::consistent_with(const util::BitMatrix& data) const {
     }
   }
   return true;
+}
+
+ArrayCode ArrayCode::transposed() const {
+  const std::size_t mm = m();
+  const std::size_t bps = blocks_per_side();
+  ArrayCode out(n_, mm);
+  for (std::size_t br = 0; br < bps; ++br) {
+    for (std::size_t bc = 0; bc < bps; ++bc) {
+      const CheckBits& from = blocks_[br * bps + bc];
+      CheckBits& to = out.blocks_[bc * bps + br];
+      to.leading = from.leading;
+      if (mm <= diagword::kMaxM) {
+        to.counter.set_low_word(diagword::reflect(from.counter.low_word(), mm));
+      } else {
+        for (std::size_t d = 0; d < mm; ++d) {
+          to.counter.set((mm - d) % mm, from.counter.get(d));
+        }
+      }
+    }
+  }
+  return out;
 }
 
 bool ArrayCode::writes_touch_each_diagonal_once(

@@ -120,6 +120,15 @@ class ArrayCode {
   /// True iff every check bit matches `data` exactly.
   [[nodiscard]] bool consistent_with(const util::BitMatrix& data) const;
 
+  /// This code relabelled onto the transposed array: the check state that
+  /// encode_all(transpose(data)) produces whenever this one came from
+  /// encode_all(data), and with any injected check-bit errors carried to the
+  /// matching bits.  Cell (r, c) becomes (c, r), so block (i, j) maps to
+  /// (j, i), leading diagonal (r + c) mod m keeps its index d, and counter
+  /// diagonal (r - c) mod m turns into (c - r) mod m, index d -> (m - d) mod m.
+  /// An involution: transposed().transposed() equals *this.
+  [[nodiscard]] ArrayCode transposed() const;
+
   /// Section III invariant: within any single row-parallel or
   /// column-parallel operation, each (block, diagonal) is written at most
   /// once.  Returns false if `writes` violates it (meaning the batch could

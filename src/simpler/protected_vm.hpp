@@ -7,17 +7,21 @@
 // gate runs the critical-operation protocol, and the function executes in
 // SIMD across any number of crossbar rows at a single row's cycle count.
 //
-// The VM's marshalling is word-parallel: per-row input images are built by
-// masked word assignment over the resident row (one precomputed
-// input+constant mask, no per-node scans), and outputs are peeled one
-// column word-walk per primary output.  run_program_protected is one
-// template over the machine type: production instantiates it for the
-// word-parallel PimMachine, and the differential harness instantiates the
-// same operation sequence for the bit-serial reference machine, so it can
-// pin contents, check state, and cycle counters across the full stack.
+// The VM's marshalling touches only the program's cells: each row's inputs
+// and constants go in as one masked protected row write (one precomputed
+// input+constant mask, no per-node scans, no full-row image), and outputs
+// are peeled with the machine's column_into -- one physical-row copy on
+// PimMachine, whose MEM is lane-major.  Every op's operands are widened
+// into one flat index buffer once per call, so the gate loop allocates
+// nothing.  run_program_protected is one template over the machine type:
+// production instantiates it for the word-parallel PimMachine, and the
+// differential harness instantiates the same operation sequence for the
+// bit-serial reference machine, so it can pin contents, check state, cycle
+// counters and row activations across the full stack.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -74,12 +78,10 @@ ProtectedRunResult run_program_protected(Machine& machine,
     }
   }
 
-  // Load inputs and constants through the protected write path (full row
-  // images built from the current contents so unrelated columns survive).
-  // The input/constant cell mask and the constant values are fixed across
-  // rows (constants sit right after the inputs -- mapper convention), so
-  // each row image is one masked word assignment plus one bit scatter of
-  // that row's input values.
+  // Load inputs and constants through the protected write path, touching
+  // only their cells so unrelated columns survive.  The input/constant cell
+  // mask and the constant values are fixed across rows (constants sit right
+  // after the inputs -- mapper convention); only the input bits change.
   util::BitVector fixed_mask(n);
   util::BitVector row_values(n);
   for (const CellIndex cell : program.input_cells) fixed_mask.set(cell, true);
@@ -92,32 +94,46 @@ ProtectedRunResult run_program_protected(Machine& machine,
       ++next_fixed;
     }
   }
-  util::BitVector image(n);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t i = 0; i < program.input_cells.size(); ++i) {
       row_values.set(program.input_cells[i], inputs.get(r, i));
     }
-    image = machine.data().row(r);
-    image.assign_masked(row_values, fixed_mask);
-    machine.write_row_protected(r, image);
+    machine.write_row_masked_protected(r, row_values, fixed_mask);
+  }
+
+  // Every op's cell operands, widened once into one flat buffer.
+  std::size_t operand_count = 0;
+  for (const MappedOp& op : program.ops) {
+    operand_count += op.kind == MappedOp::Kind::kInit ? op.init_cells.size()
+                                                      : op.in_cells.size();
+  }
+  std::vector<std::size_t> operands;
+  operands.reserve(operand_count);
+  for (const MappedOp& op : program.ops) {
+    const auto& cells =
+        op.kind == MappedOp::Kind::kInit ? op.init_cells : op.in_cells;
+    operands.insert(operands.end(), cells.begin(), cells.end());
   }
 
   // Execute: every op through the critical-operation protocol, all rows in
   // parallel (empty lane list = SIMD across the full array).
+  const std::size_t* next = operands.data();
   for (const MappedOp& op : program.ops) {
     if (op.kind == MappedOp::Kind::kInit) {
-      std::vector<std::size_t> cols(op.init_cells.begin(), op.init_cells.end());
+      const std::span<const std::size_t> cols(next, op.init_cells.size());
       machine.magic_init_rows_protected(cols);
+      next += cols.size();
     } else {
-      std::vector<std::size_t> ins(op.in_cells.begin(), op.in_cells.end());
+      const std::span<const std::size_t> ins(next, op.in_cells.size());
       machine.magic_nor_rows_protected(ins, op.cell);
+      next += ins.size();
     }
   }
 
   result.outputs = util::BitMatrix(n, program.output_cells.size());
   util::BitVector column(n);
   for (std::size_t i = 0; i < program.output_cells.size(); ++i) {
-    machine.data().column_into(program.output_cells[i], column);
+    machine.column_into(program.output_cells[i], column);
     result.outputs.set_column(i, column);
   }
   result.ecc_consistent_after = machine.ecc_consistent();

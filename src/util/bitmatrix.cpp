@@ -1,6 +1,9 @@
 #include "util/bitmatrix.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstdint>
 #include <stdexcept>
 
 namespace pimecc::util {
@@ -134,6 +137,72 @@ std::size_t BitMatrix::hamming_distance(const BitMatrix& other) const {
     total += rows_storage_[r].hamming_distance(other.rows_storage_[r]);
   }
   return total;
+}
+
+namespace {
+
+/// One round of the in-place 64 x 64 tile transpose: swaps the
+/// off-diagonal J x J sub-blocks of every 2J x 2J block -- the high J
+/// columns of row k trade places with the low J columns of row k + J.
+/// `mask` selects the low J bits of every 2J-bit group.  The inner loop
+/// runs over contiguous rows, so it vectorizes.
+template <std::size_t J>
+void transpose_round(std::array<std::uint64_t, 64>& tile,
+                     std::uint64_t mask) noexcept {
+  for (std::size_t base = 0; base < 64; base += 2 * J) {
+    for (std::size_t k = base; k < base + J; ++k) {
+      const std::uint64_t t = ((tile[k] >> J) ^ tile[k + J]) & mask;
+      tile[k] ^= t << J;
+      tile[k + J] ^= t;
+    }
+  }
+}
+
+/// In-place transpose of a 64 x 64 bit tile, tile[r] bit c -> tile[c] bit r
+/// (Hacker's Delight 7-3, written for LSB-first bit order).
+void transpose_tile(std::array<std::uint64_t, 64>& tile) noexcept {
+  transpose_round<32>(tile, 0x00000000FFFFFFFFull);
+  transpose_round<16>(tile, 0x0000FFFF0000FFFFull);
+  transpose_round<8>(tile, 0x00FF00FF00FF00FFull);
+  transpose_round<4>(tile, 0x0F0F0F0F0F0F0F0Full);
+  transpose_round<2>(tile, 0x3333333333333333ull);
+  transpose_round<1>(tile, 0x5555555555555555ull);
+}
+
+}  // namespace
+
+BitMatrix transpose(const BitMatrix& mat) {
+  BitMatrix out;
+  transpose_into(mat, out);
+  return out;
+}
+
+void transpose_into(const BitMatrix& mat, BitMatrix& out) {
+  constexpr std::size_t kW = BitVector::kWordBits;
+  if (out.rows() != mat.cols() || out.cols() != mat.rows()) {
+    out = BitMatrix(mat.cols(), mat.rows());
+  }
+  const std::span<const BitVector> in_rows = mat.rows_span();
+  const std::span<BitVector> out_rows = out.rows_span();
+  std::array<std::uint64_t, 64> tile;
+  for (std::size_t r0 = 0; r0 < mat.rows(); r0 += kW) {
+    const std::size_t tile_rows = std::min(kW, mat.rows() - r0);
+    for (std::size_t c0 = 0; c0 < mat.cols(); c0 += kW) {
+      const std::size_t tile_cols = std::min(kW, mat.cols() - c0);
+      const std::size_t in_word = c0 / kW;
+      for (std::size_t k = 0; k < tile_rows; ++k) {
+        tile[k] = in_rows[r0 + k].words()[in_word];
+      }
+      for (std::size_t k = tile_rows; k < kW; ++k) tile[k] = 0;
+      transpose_tile(tile);
+      // Only the first tile_cols results are real rows of `out`; the rest
+      // hold whatever sat in the input rows' padding and are dropped.
+      const std::size_t out_word = r0 / kW;
+      for (std::size_t k = 0; k < tile_cols; ++k) {
+        out_rows[c0 + k].words_mutable()[out_word] = tile[k];
+      }
+    }
+  }
 }
 
 }  // namespace pimecc::util

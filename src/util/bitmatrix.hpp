@@ -74,4 +74,15 @@ class BitMatrix {
   std::size_t cols_ = 0;
 };
 
+/// The transpose of `mat` (cols() x rows()): result(c, r) == mat(r, c).
+/// Word-blocked: each 64 x 64 tile is gathered as 64 words, transposed in
+/// registers by six masked swap rounds, and scattered back, so the cost is
+/// O(rows * cols / 64) word ops rather than one bit move per cell.  Bits in
+/// the padding of `mat`'s rows are never read into the result.
+[[nodiscard]] BitMatrix transpose(const BitMatrix& mat);
+/// transpose() into `out`, reusing its storage when it already has the
+/// transposed shape (every word of `out` is overwritten).  `out` must not
+/// alias `mat`.
+void transpose_into(const BitMatrix& mat, BitMatrix& out);
+
 }  // namespace pimecc::util

@@ -1,6 +1,7 @@
 #include "xbar/crossbar.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -37,6 +38,44 @@ void Crossbar::write_column(std::size_t c, const util::BitVector& data) {
   }
   mat_.set_column(c, data);
   ++broadcast_activations_;
+  ++cycles_;
+}
+
+void Crossbar::write_columns(const util::BitMatrix& columns) {
+  if (columns.rows() != cols() || columns.cols() != rows()) {
+    throw std::invalid_argument("Crossbar::write_columns: shape mismatch");
+  }
+  util::transpose_into(columns, mat_);
+  broadcast_activations_ += cols();
+  cycles_ += cols();
+}
+
+void Crossbar::write_column_masked(std::size_t c, const util::BitVector& values,
+                                   const util::BitVector& mask,
+                                   util::BitVector& flipped) {
+  if (c >= cols()) {
+    throw std::out_of_range("Crossbar::write_column_masked: column out of range");
+  }
+  if (values.size() != rows() || mask.size() != rows()) {
+    throw std::invalid_argument("Crossbar::write_column_masked: size mismatch");
+  }
+  using Word = util::BitVector::Word;
+  constexpr std::size_t kWordBits = util::BitVector::kWordBits;
+  flipped.resize(rows());
+  const std::span<const Word> mask_words = mask.words();
+  const std::span<const Word> value_words = values.words();
+  const std::span<Word> flipped_words = flipped.words_mutable();
+  for (std::size_t wi = 0; wi < mask_words.size(); ++wi) {
+    Word old = 0;
+    for (Word bits = mask_words[wi]; bits != 0; bits &= bits - 1) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(bits));
+      const std::size_t r = wi * kWordBits + bit;
+      old |= Word{mat_.get(r, c)} << bit;
+      mat_.set(r, c, (value_words[wi] >> bit) & 1u);
+      ++row_activation_extra_[r];
+    }
+    flipped_words[wi] = (old ^ value_words[wi]) & mask_words[wi];
+  }
   ++cycles_;
 }
 
@@ -209,12 +248,12 @@ OpResult Crossbar::magic_nor(Orientation o, std::span<const std::size_t> in_line
     // lane instead of separate gather/scatter column walks.  Word offsets
     // and shifts are resolved once, outside the lane loop; fan-in 1 and 2
     // (NOT and the dominant NOR shape) get branch-free specializations.
-    // This orientation intentionally stays scalar at every SIMD dispatch
-    // level: each lane reads/writes a handful of scattered single words
-    // across independent per-row allocations, so a vector port is pure
-    // gather/scatter over the same scattered words with nothing contiguous
-    // to amortize -- unlike the column path above, where lanes are adjacent
-    // bits of the same words.
+    // This orientation stays scalar: each lane touches a few scattered
+    // single words across independent per-row allocations, with nothing
+    // contiguous for a vector port to amortize.  It serves no protected
+    // row-parallel gate -- arch::PimMachine stores its MEM transposed, so
+    // SIMPLER's row-parallel gates run on the kColumn path above -- only
+    // column-parallel protected ops and direct crossbar users land here.
     check_lanes_distinct(o, lanes);
     const std::span<util::BitVector> row_store = mat_.rows_span();
     using Word = util::BitVector::Word;

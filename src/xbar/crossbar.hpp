@@ -59,6 +59,17 @@ class Crossbar {
   void write_row(std::size_t r, const util::BitVector& data);
   /// Writes a full column image (size must equal rows()).
   void write_column(std::size_t c, const util::BitVector& data);
+  /// Writes every column c from columns.row(c) (`columns` is cols() x
+  /// rows(), the transposed image): cols() column writes, one cycle each,
+  /// stored by one word-blocked transpose instead of cols() bit walks.
+  void write_columns(const util::BitMatrix& columns);
+  /// Writes only the masked cells of column c:
+  /// column <- (column AND NOT mask) OR (values AND mask), one write cycle.
+  /// `values` and `mask` have length rows(); unmasked rows are untouched.
+  /// `flipped` receives old XOR new of the column (length rows()).
+  void write_column_masked(std::size_t c, const util::BitVector& values,
+                           const util::BitVector& mask,
+                           util::BitVector& flipped);
   /// Reads a row copy.
   [[nodiscard]] util::BitVector read_row(std::size_t r);
   /// Reads a column copy.

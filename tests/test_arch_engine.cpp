@@ -9,7 +9,9 @@
 // (ArchEngineSmoke suite).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -75,6 +77,16 @@ struct MachinePair {
            << " cmem " << f.cmem_cycles << "/" << r.cmem_cycles << " critical "
            << f.critical_ops << "/" << r.critical_ops << " checks " << f.checks
            << "/" << r.checks << " scrubs " << f.scrubs << "/" << r.scrubs;
+  }
+  const std::vector<std::uint64_t> fa = pair.fast.mem_row_activation_snapshot();
+  const std::vector<std::uint64_t> ra = pair.ref.mem_row_activation_snapshot();
+  if (fa != ra) {
+    std::size_t row = 0;
+    while (row < fa.size() && fa[row] == ra[row]) ++row;
+    return ::testing::AssertionFailure()
+           << "row activations diverge at row " << row << ": "
+           << (row < fa.size() ? fa[row] : 0) << "/"
+           << (row < ra.size() ? ra[row] : 0);
   }
   return ::testing::AssertionSuccess();
 }
@@ -233,6 +245,90 @@ TEST(ArchEngineDifferential, RandomProgramsAgreeN45M5) {
   run_differential_program(45, 5, 0xD4, 100);
 }
 
+/// Masked controller row writes (random masks, including empty and full
+/// ones) interleaved with explicit-lane gates in both orientations: the
+/// lane-major machine touches only the masked cells and must stay in full
+/// lockstep -- contents, check state, counters and row activations.
+void run_masked_write_program(std::size_t n, std::size_t m, std::uint64_t seed,
+                              int ops) {
+  MachinePair pair(make_params(n, m));
+  util::Rng rng(seed);
+  pair.load(random_matrix(n, rng));
+  for (int i = 0; i < ops; ++i) {
+    const std::uint64_t kind = rng.uniform_below(4);
+    if (kind <= 1) {
+      const std::size_t r = rng.uniform_below(n);
+      const util::BitVector values = random_vector(n, rng);
+      util::BitVector mask(n);
+      const std::uint64_t shape = rng.uniform_below(8);
+      if (shape == 0) {
+        mask.fill(true);
+      } else if (shape != 1) {  // shape 1 keeps the empty mask
+        for (std::size_t c = 0; c < n; ++c) {
+          mask.set(c, rng.bernoulli(shape == 2 ? 0.9 : 0.15));
+        }
+      }
+      pair.fast.write_row_masked_protected(r, values, mask);
+      pair.ref.write_row_masked_protected(r, values, mask);
+    } else {
+      const std::size_t out = rng.uniform_below(n);
+      const std::size_t in = (out + 1 + rng.uniform_below(n - 1)) % n;
+      const std::vector<std::size_t> outs{out};
+      const std::vector<std::size_t> ins{in};
+      const std::vector<std::size_t> lanes = random_lanes(n, rng);
+      if (kind == 2) {
+        pair.fast.magic_init_rows_protected(outs);
+        pair.ref.magic_init_rows_protected(outs);
+        pair.fast.magic_nor_rows_protected(ins, out, lanes);
+        pair.ref.magic_nor_rows_protected(ins, out, lanes);
+      } else {
+        pair.fast.magic_init_cols_protected(outs);
+        pair.ref.magic_init_cols_protected(outs);
+        pair.fast.magic_nor_cols_protected(ins, out, lanes);
+        pair.ref.magic_nor_cols_protected(ins, out, lanes);
+      }
+    }
+    ASSERT_TRUE(machines_agree(pair)) << "op " << i << " kind " << kind;
+    ASSERT_TRUE(pair.fast.ecc_consistent()) << "op " << i;
+  }
+  for (std::size_t r = 0; r < n; r += 7) {
+    util::BitVector fast_col, ref_col;
+    pair.fast.column_into(r, fast_col);
+    pair.ref.column_into(r, ref_col);
+    ASSERT_EQ(fast_col, ref_col) << "column " << r;
+    for (std::size_t c = 0; c < n; c += 5) {
+      ASSERT_EQ(pair.fast.get(r, c), pair.ref.get(r, c)) << r << "," << c;
+    }
+  }
+}
+
+TEST(ArchEngineDifferential, MaskedRowWritesAgreeN66M3) {
+  run_masked_write_program(66, 3, 0x3A51, 120);
+}
+
+TEST(ArchEngineDifferential, MaskedRowWritesAgreeN135M15) {
+  run_masked_write_program(135, 15, 0x3A52, 80);
+}
+
+TEST(ArchEngineDifferential, MaskedRowWriteRejectsBadShapesWithoutMutating) {
+  MachinePair pair(make_params(45, 9));
+  util::Rng rng(0x3A53);
+  pair.load(random_matrix(45, rng));
+  const util::BitVector ok(45), short_vec(44);
+  EXPECT_THROW(pair.fast.write_row_masked_protected(45, ok, ok), std::out_of_range);
+  EXPECT_THROW(pair.ref.write_row_masked_protected(45, ok, ok), std::out_of_range);
+  EXPECT_THROW(pair.fast.write_row_masked_protected(0, short_vec, ok),
+               std::invalid_argument);
+  EXPECT_THROW(pair.ref.write_row_masked_protected(0, short_vec, ok),
+               std::invalid_argument);
+  EXPECT_THROW(pair.fast.write_row_masked_protected(0, ok, short_vec),
+               std::invalid_argument);
+  EXPECT_THROW(pair.ref.write_row_masked_protected(0, ok, short_vec),
+               std::invalid_argument);
+  EXPECT_TRUE(machines_agree(pair));
+  EXPECT_EQ(pair.fast.counters().critical_ops, 0u);
+}
+
 // ----------------------------------------------- ProtectedVm end to end
 
 /// Maps `netlist` onto the smallest row width from an m-multiple ladder.
@@ -312,6 +408,111 @@ TEST(ArchEngineDifferential, ProtectedVmRepairsPreRunFaultIdentically) {
   EXPECT_EQ(ref_result.input_check_corrections, 1u);
   EXPECT_EQ(fast_result.outputs, ref_result.outputs);
   EXPECT_TRUE(machines_agree(pair));
+}
+
+/// Forwards the protected-VM surface of a machine and injects one data
+/// error and one check-bit error right after the `at`-th gate or init, so
+/// both machines take the faults mid-program at the same point.
+template <typename Machine>
+struct FaultAfterOp {
+  Machine& machine;
+  std::size_t at;
+  std::size_t data_r, data_c;
+  Axis axis;
+  std::size_t diagonal;
+  ecc::BlockIndex block;
+  std::size_t ops = 0;
+
+  [[nodiscard]] std::size_t n() const { return machine.n(); }
+  [[nodiscard]] std::size_t m() const { return machine.m(); }
+  CheckReport check_block_row(std::size_t row) {
+    return machine.check_block_row(row);
+  }
+  void write_row_masked_protected(std::size_t r, const util::BitVector& values,
+                                  const util::BitVector& mask) {
+    machine.write_row_masked_protected(r, values, mask);
+  }
+  void magic_init_rows_protected(std::span<const std::size_t> cols) {
+    machine.magic_init_rows_protected(cols);
+    after_op();
+  }
+  void magic_nor_rows_protected(std::span<const std::size_t> ins,
+                                std::size_t out) {
+    machine.magic_nor_rows_protected(ins, out);
+    after_op();
+  }
+  void column_into(std::size_t c, util::BitVector& out) const {
+    machine.column_into(c, out);
+  }
+  [[nodiscard]] bool ecc_consistent() const { return machine.ecc_consistent(); }
+
+ private:
+  void after_op() {
+    if (ops++ != at) return;
+    machine.inject_data_error(data_r, data_c);
+    machine.inject_check_error(axis, diagonal, block);
+  }
+};
+
+// The served shape (n = 255, m = 15, the circuits the benchmark's run
+// requests use): a full protected run with a data error and a check-bit
+// error landing mid-program.  The data error sits outside the program's
+// cells, so the outputs stay right; both faults outlive the run and the
+// closing scrub must repair them identically on both machines.
+TEST(ArchEngineDifferential, ServedShapeRunWithMidRunFaultsAgrees) {
+  const std::size_t n = 255, m = 15;
+  for (const char* name : {"ctrl", "cavlc", "int2float"}) {
+    SCOPED_TRACE(name);
+    const circuits::CircuitSpec spec = circuits::build_circuit(name);
+    simpler::MapperOptions options;
+    options.row_width = n;
+    const simpler::MappedProgram program =
+        simpler::map_to_row(spec.netlist, options);
+    ASSERT_LT(program.peak_cells_used, n);
+    MachinePair pair(make_params(n, m));
+    util::Rng rng(0x5E7ED);
+    pair.load(random_matrix(n, rng));
+    const util::BitMatrix inputs =
+        util::random_bit_matrix(n, spec.netlist.num_inputs(), rng);
+
+    const std::size_t at = program.ops.size() / 2;
+    const std::size_t data_r = rng.uniform_below(n);
+    const ecc::BlockIndex block{rng.uniform_below(n / m),
+                                rng.uniform_below(n / m)};
+    const std::size_t diagonal = rng.uniform_below(m);
+    // The check-bit error goes to a block other than the data error's, so
+    // the closing scrub sees two single errors, not one double.
+    const ecc::BlockIndex data_block{data_r / m, (n - 1) / m};
+    const ecc::BlockIndex check_block =
+        block == data_block ? ecc::BlockIndex{(block.block_row + 1) % (n / m),
+                                              block.block_col}
+                            : block;
+    FaultAfterOp<PimMachine> fast{pair.fast, at, data_r, n - 1, Axis::kCounter,
+                                  diagonal, check_block};
+    FaultAfterOp<ReferencePimMachine> ref{pair.ref, at, data_r, n - 1,
+                                          Axis::kCounter, diagonal, check_block};
+    const simpler::ProtectedRunResult fast_result =
+        simpler::run_program_protected(fast, spec.netlist, program, inputs);
+    const simpler::ProtectedRunResult ref_result =
+        simpler::run_program_protected(ref, spec.netlist, program, inputs);
+    ASSERT_EQ(fast.ops, program.ops.size());
+
+    EXPECT_EQ(fast_result.outputs, ref_result.outputs);
+    EXPECT_FALSE(fast_result.ecc_consistent_after);
+    EXPECT_FALSE(ref_result.ecc_consistent_after);
+    EXPECT_TRUE(machines_agree(pair));
+    for (std::size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(fast_result.outputs.row(r), spec.reference(inputs.row(r)))
+          << "row " << r;
+    }
+
+    const CheckReport fast_scrub = pair.fast.scrub();
+    EXPECT_EQ(fast_scrub, pair.ref.scrub());
+    EXPECT_EQ(fast_scrub.corrected_data, 1u);
+    EXPECT_EQ(fast_scrub.corrected_check, 1u);
+    EXPECT_TRUE(pair.fast.ecc_consistent());
+    EXPECT_TRUE(machines_agree(pair));
+  }
 }
 
 // ---------------------------------------------------- cycle-count pinning

@@ -12,11 +12,15 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/checkpoint.hpp"
 #include "arch/pim_machine.hpp"
 #include "reliability/lifetime.hpp"
+#include "simpler/mapper.hpp"
+#include "simpler/netlist.hpp"
+#include "simpler/protected_vm.hpp"
 #include "util/chaos.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
@@ -109,12 +113,14 @@ void expect_machines_equal(const arch::PimMachine& a,
   EXPECT_TRUE(a.data() == b.data());
   EXPECT_EQ(a.counters(), b.counters());
   EXPECT_EQ(a.mem_counters(), b.mem_counters());
-  const std::size_t blocks = a.check_code().blocks_per_side();
-  ASSERT_EQ(blocks, b.check_code().blocks_per_side());
+  const ecc::ArrayCode code_a = a.check_code();
+  const ecc::ArrayCode code_b = b.check_code();
+  const std::size_t blocks = code_a.blocks_per_side();
+  ASSERT_EQ(blocks, code_b.blocks_per_side());
   for (std::size_t br = 0; br < blocks; ++br) {
     for (std::size_t bc = 0; bc < blocks; ++bc) {
-      const auto& ca = a.check_code().check_bits({br, bc});
-      const auto& cb = b.check_code().check_bits({br, bc});
+      const auto& ca = code_a.check_bits({br, bc});
+      const auto& cb = code_b.check_bits({br, bc});
       EXPECT_TRUE(ca.leading == cb.leading) << "block " << br << "," << bc;
       EXPECT_TRUE(ca.counter == cb.counter) << "block " << br << "," << bc;
     }
@@ -194,6 +200,137 @@ TEST(MachineCheckpoint, LoadWithoutSavedRngThrows) {
   util::Rng rng(4);
   EXPECT_THROW(arch::load_machine_checkpoint(stream, machine, &rng),
                SerializeError);
+}
+
+// ---------------------------------------------------------------------------
+// Golden checkpoint bytes
+//
+// A fixed-seed machine runs a protected program (a small NOR netlist through
+// the protected VM, then a column-parallel gate), takes one data error and
+// one counter-axis check-bit error in an off-diagonal block, and is saved.
+// The bytes are pinned two ways: by their CRC-64, and verbatim as the file a
+// row-major build of the machine wrote for the same run.  Any change to the
+// MEM orientation, the check-bit frame relabel or the VM's write protocol
+// that leaks into observable state breaks one of them.
+
+arch::ArchParams golden_params() {
+  arch::ArchParams params;
+  params.n = 15;
+  params.m = 5;
+  return params;
+}
+
+simpler::Netlist golden_netlist() {
+  simpler::Netlist net("golden");
+  const simpler::NodeId a = net.add_input();
+  const simpler::NodeId b = net.add_input();
+  const simpler::NodeId c = net.add_input();
+  const simpler::NodeId one = net.add_const(true);
+  const simpler::NodeId ab = net.add_nor({a, b});
+  const simpler::NodeId xnor =
+      net.add_nor({net.add_nor({a, ab}), net.add_nor({b, ab})});
+  net.mark_output(net.add_nor({xnor, c}));
+  net.mark_output(net.add_nor({ab, c, one}));
+  return net;
+}
+
+/// One protected program: the VM run of golden_netlist on random inputs,
+/// then a column-parallel init + NOR.
+void golden_run(arch::PimMachine& machine, util::Rng& rng) {
+  const simpler::Netlist net = golden_netlist();
+  simpler::MapperOptions options;
+  options.row_width = machine.n();
+  const simpler::MappedProgram program = simpler::map_to_row(net, options);
+  const util::BitMatrix inputs =
+      util::random_bit_matrix(machine.n(), net.num_inputs(), rng);
+  (void)simpler::run_program_protected(machine, net, program, inputs);
+  const std::array<std::size_t, 1> out = {12};
+  const std::array<std::size_t, 2> ins = {3, 9};
+  machine.magic_init_cols_protected(out);
+  machine.magic_nor_cols_protected(ins, out[0]);
+}
+
+/// The golden machine state (and its RNG position) just before the save.
+arch::PimMachine golden_machine(util::Rng& rng) {
+  arch::PimMachine machine(golden_params());
+  machine.load(util::random_bit_matrix(15, 15, rng));
+  golden_run(machine, rng);
+  machine.inject_data_error(11, 2);
+  machine.inject_check_error(arch::Axis::kCounter, 1, {0, 2});
+  return machine;
+}
+
+constexpr std::uint64_t kGoldenCheckpointCrc = 0x31BCDEDED439E228ull;
+
+/// save_machine_checkpoint's bytes for golden_machine, as written by the
+/// row-major machine (hex).
+constexpr const char* kGoldenCheckpointHex =
+    "50494d4543434d430100000043020000000000000f000000000000000500000000000000"
+    "030000000000000008000000000000000100000000000000010000000000000001000f00"
+    "0000000000000f000000000000004e7c0000000000009c7c0000000000008f7c00000000"
+    "00004e7c0000000000004a7d0000000000004e7c0000000000009c7c0000000000002d7c"
+    "0000000000004e7c000000000000297d0000000000009c7c000000000000297c00000000"
+    "000090020000000000008b7c0000000000004e7c00000000000009000000000000000500"
+    "0000000000001c0000000000000005000000000000001a00000000000000050000000000"
+    "00000f0000000000000005000000000000000f0000000000000005000000000000001f00"
+    "00000000000005000000000000001d000000000000000500000000000000050000000000"
+    "00000500000000000000000000000000000005000000000000000a000000000000000500"
+    "000000000000120000000000000005000000000000001f00000000000000050000000000"
+    "00001f000000000000000500000000000000190000000000000005000000000000001f00"
+    "000000000000050000000000000014000000000000000500000000000000090000000000"
+    "000005000000000000000000000000000000050000000000000000000000000000002900"
+    "0000000000008d0100000000000022000000000000000300000000000000000000000000"
+    "000027000000000000000700000000000000020000000000000001ab99b93f8b470301fe"
+    "c8da4f8d4f697782128c5fa5cb53c8a460d3edd4f576ab7f9eadaa53d1b8ec";
+
+std::string golden_bytes() {
+  const std::string hex = kGoldenCheckpointHex;
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+std::uint64_t crc_of(const std::string& bytes) {
+  return util::crc64({reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                      bytes.size()});
+}
+
+TEST(MachineCheckpointGolden, SavedBytesArePinned) {
+  util::Rng rng(0x601DE);
+  const arch::PimMachine machine = golden_machine(rng);
+  std::ostringstream stream;
+  arch::save_machine_checkpoint(stream, machine, &rng);
+  const std::string bytes = stream.str();
+  EXPECT_EQ(crc_of(bytes), kGoldenCheckpointCrc);
+  EXPECT_EQ(bytes, golden_bytes());
+}
+
+TEST(MachineCheckpointGolden, RowMajorCheckpointRestoresAndContinues) {
+  const std::string stored = golden_bytes();
+  ASSERT_EQ(crc_of(stored), kGoldenCheckpointCrc);
+
+  arch::PimMachine resumed(golden_params());
+  util::Rng resumed_rng(1);
+  std::istringstream in(stored);
+  arch::load_machine_checkpoint(in, resumed, &resumed_rng);
+  std::ostringstream again;
+  arch::save_machine_checkpoint(again, resumed, &resumed_rng);
+  EXPECT_EQ(again.str(), stored);  // restore + save is the identity
+
+  // The pending faults are live after the restore: the next program's
+  // before-use check finds both, and the run continues exactly as an
+  // uninterrupted machine's does.
+  util::Rng rng(0x601DE);
+  arch::PimMachine machine = golden_machine(rng);
+  EXPECT_FALSE(resumed.ecc_consistent());
+  golden_run(machine, rng);
+  golden_run(resumed, resumed_rng);
+  EXPECT_TRUE(resumed.ecc_consistent());
+  EXPECT_EQ(resumed.counters().checks, machine.counters().checks);
+  expect_machines_equal(machine, resumed);
+  EXPECT_EQ(rng.state(), resumed_rng.state());
 }
 
 class MachineCheckpointDefects : public ::testing::Test {

@@ -387,6 +387,123 @@ TEST(CodecExhaustive, DoubleDataErrorsNeverMiscorrectedSilentlyM3) {
   }
 }
 
+// ------------------------------------------------ transpose relabel
+
+/// Every block's check bits equal.
+::testing::AssertionResult codes_equal(const ArrayCode& a, const ArrayCode& b) {
+  if (a.n() != b.n() || a.m() != b.m()) {
+    return ::testing::AssertionFailure() << "geometry differs";
+  }
+  for (std::size_t br = 0; br < a.blocks_per_side(); ++br) {
+    for (std::size_t bc = 0; bc < a.blocks_per_side(); ++bc) {
+      if (!(a.check_bits({br, bc}) == b.check_bits({br, bc}))) {
+        return ::testing::AssertionFailure()
+               << "block (" << br << ", " << bc << ") differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The relabel the lane-major PimMachine rests on: the code of the
+// transposed array is the code of the array with block (i, j) -> (j, i),
+// leading index kept and counter index d -> (m - d) mod m.  m = 65 pins the
+// bit-serial fallback of ArrayCode::transposed.
+TEST(CodecTranspose, EncodeOfTransposeIsTheRelabelledEncode) {
+  Rng rng(0x7EA5);
+  for (const std::size_t m : {3u, 5u, 7u, 9u, 15u, 31u, 63u, 65u}) {
+    SCOPED_TRACE(m);
+    const std::size_t n = m * (m < 40 ? 130 / m : 2);  // lines cross words
+    const BitMatrix data = random_matrix(n, n, rng);
+    ArrayCode logical(n, m);
+    logical.encode_all(data);
+    ArrayCode physical(n, m);
+    physical.encode_all(util::transpose(data));
+    EXPECT_TRUE(codes_equal(physical, logical.transposed()));
+    EXPECT_TRUE(codes_equal(physical.transposed(), logical));
+    EXPECT_TRUE(logical.transposed().consistent_with(util::transpose(data)));
+  }
+}
+
+/// Runs the same single error through both frames and requires identical
+/// scrub reports, the same repair (relabelled), and final states that are
+/// each other's transpose.
+void expect_frames_agree(const BitMatrix& data, const ArrayCode& code,
+                         const BitMatrix& data_t, const ArrayCode& code_t,
+                         BlockIndex block) {
+  const BlockIndex block_t{block.block_col, block.block_row};
+  const std::size_t m = code.m();
+
+  BitMatrix l = data, p = data_t;
+  ArrayCode lc = code, pc = code_t;
+  const BlockRepair lr = lc.scrub_block(l, block);
+  const BlockRepair pr = pc.scrub_block(p, block_t);
+  ASSERT_EQ(lr.status, pr.status);
+  if (lr.status == DecodeStatus::kCorrectedData) {
+    EXPECT_EQ(lr.data_r, pr.data_c);
+    EXPECT_EQ(lr.data_c, pr.data_r);
+  }
+  if (lr.status == DecodeStatus::kCorrectedCheck) {
+    EXPECT_EQ(lr.check_on_leading_axis, pr.check_on_leading_axis);
+    EXPECT_EQ(lr.check_index, lr.check_on_leading_axis
+                                  ? pr.check_index
+                                  : (m - pr.check_index) % m);
+  }
+  EXPECT_EQ(l, util::transpose(p));
+  EXPECT_TRUE(codes_equal(lc, pc.transposed()));
+
+  l = data;
+  p = data_t;
+  lc = code;
+  pc = code_t;
+  EXPECT_EQ(lc.scrub(l), pc.scrub(p));
+  EXPECT_EQ(l, util::transpose(p));
+  EXPECT_TRUE(codes_equal(lc, pc.transposed()));
+}
+
+TEST(CodecTranspose, EverySingleErrorRepairsIdenticallyInBothFrames) {
+  Rng rng(0x7EA6);
+  for (const std::size_t m : {3u, 5u, 7u}) {
+    SCOPED_TRACE(m);
+    const std::size_t n = 3 * m;
+    const BitMatrix clean = random_matrix(n, n, rng);
+    ArrayCode code(n, m);
+    code.encode_all(clean);
+    const ArrayCode code_t = code.transposed();
+    const BitMatrix clean_t = util::transpose(clean);
+
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        SCOPED_TRACE(::testing::Message() << "data (" << r << ", " << c << ")");
+        BitMatrix data = clean, data_t = clean_t;
+        data.flip(r, c);
+        data_t.flip(c, r);
+        expect_frames_agree(data, code, data_t, code_t, code.block_of(r, c));
+      }
+    }
+    for (std::size_t br = 0; br < n / m; ++br) {
+      for (std::size_t bc = 0; bc < n / m; ++bc) {
+        for (std::size_t d = 0; d < m; ++d) {
+          for (const bool leading : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "check (" << br << ", " << bc << ") d=" << d
+                         << (leading ? " leading" : " counter"));
+            ArrayCode bad = code, bad_t = code_t;
+            if (leading) {
+              bad.check_bits_mutable({br, bc}).leading.flip(d);
+              bad_t.check_bits_mutable({bc, br}).leading.flip(d);
+            } else {
+              bad.check_bits_mutable({br, bc}).counter.flip(d);
+              bad_t.check_bits_mutable({bc, br}).counter.flip((m - d) % m);
+            }
+            expect_frames_agree(clean, bad, clean_t, bad_t, {br, bc});
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------- validate-before-mutate regressions
 
 TEST(CodecValidation, ArrayCodeApplyWritesIsAtomicOnBadBatch) {

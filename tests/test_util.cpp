@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/geometry.hpp"
@@ -288,6 +290,59 @@ TEST(BitMatrix, RowAssignMaskedMergesByMask) {
   EXPECT_EQ(m.row(1).to_string(), "101110");
   EXPECT_THROW(m.row_assign_masked(3, BitVector(6), BitVector(6)),
                std::out_of_range);
+}
+
+/// Bit-by-bit transpose: the oracle for util::transpose.
+BitMatrix naive_transpose(const BitMatrix& m) {
+  BitMatrix t(m.cols(), m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) t.set(c, r, m.get(r, c));
+  }
+  return t;
+}
+
+/// Every bit of `v` above size() must be zero (the BitVector invariant).
+bool padding_clean(const BitVector& v) {
+  const std::size_t tail = v.size() % BitVector::kWordBits;
+  return tail == 0 || (v.words().back() >> tail) == 0;
+}
+
+TEST(BitMatrix, TransposeMatchesNaiveBitLoop) {
+  Rng rng(0x7A05);
+  for (const std::size_t n : {1u, 3u, 45u, 63u, 64u, 65u, 255u, 1020u}) {
+    SCOPED_TRACE(n);
+    BitMatrix m = random_bit_matrix(n, n, rng);
+    const BitMatrix expected = naive_transpose(m);
+    // Poison the padding of every row's last word: those bits are not
+    // cells, and the word-blocked tiles must not carry them into the result.
+    if (n % BitVector::kWordBits != 0) {
+      for (BitVector& row : m.rows_span()) {
+        row.words_mutable().back() |= ~std::uint64_t{0} << (n % 64);
+      }
+    }
+    const BitMatrix t = transpose(m);
+    ASSERT_EQ(t, expected);
+    for (const BitVector& row : t.rows_span()) ASSERT_TRUE(padding_clean(row));
+  }
+}
+
+TEST(BitMatrix, TransposeHandlesRectangularShapesAndReusesStorage) {
+  Rng rng(0x7A06);
+  BitMatrix out(5, 5);
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{3, 130},
+                                   {130, 3}, {64, 65}, {200, 1}, {1, 200}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    const BitMatrix m = random_bit_matrix(rows, cols, rng);
+    transpose_into(m, out);
+    ASSERT_EQ(out, naive_transpose(m));
+    EXPECT_EQ(transpose(out), m);  // an involution
+  }
+  // A reused buffer of the right shape is fully overwritten.
+  const BitMatrix ones(64, 64);
+  BitMatrix dirty(64, 64);
+  for (BitVector& row : dirty.rows_span()) row.fill(true);
+  transpose_into(ones, dirty);
+  EXPECT_EQ(dirty.count(), 0u);
 }
 
 TEST(BitMatrix, HammingDistanceAndEquality) {
