@@ -1,6 +1,5 @@
 // Arch-layer throughput harness: measures the word-parallel protected
-// machine (PimMachine: differential diagword check updates, ArrayCode band
-// walks) against the bit-serial ReferencePimMachine on the three end-to-end
+// machine (PimMachine: deferred check-bit folds, ArrayCode band walks) against the bit-serial ReferencePimMachine on the three end-to-end
 // hot paths and emits machine-readable BENCH_arch.json -- the machine-level
 // companion of bench_engine_throughput and bench_codec_throughput.
 //
@@ -11,7 +10,9 @@
 //   3. simd_gates: protected row-parallel stateful logic -- alternating
 //      magic_init_rows_protected / magic_nor_rows_protected pairs, each
 //      running the full Section IV critical-operation protocol across all
-//      n rows.
+//      n rows.  Each timed batch ends with one check_block_row(0): it forces
+//      PimMachine's deferred check-bit fold, so the rate includes the
+//      check-bit update and not just the pending-delta XOR.
 //
 // Every configuration is first cross-checked: the two machines run an
 // identical protected program with mid-run fault injection and must agree
@@ -187,6 +188,7 @@ int main(int argc, char** argv) {
           measure_rate(cells, min_seconds, [&] { (void)machine.scrub(); });
       r.simd_gates.ref_rate = measure_rate(gate_line_bits, min_seconds, [&] {
         run_gate_program(machine, gate_pairs);
+        (void)machine.check_block_row(0);
       });
     }
     {
@@ -197,6 +199,7 @@ int main(int argc, char** argv) {
           measure_rate(cells, min_seconds, [&] { (void)machine.scrub(); });
       r.simd_gates.fast_rate = measure_rate(gate_line_bits, min_seconds, [&] {
         run_gate_program(machine, gate_pairs);
+        (void)machine.check_block_row(0);
       });
     }
 

@@ -12,7 +12,28 @@ PimMachine::PimMachine(const ArchParams& params)
     : params_(params),
       mem_((params.validate(), params.n), params.n),
       code_(params.n, params.m),
+      pending_(params.n * ((params.n + 63) / 64), 0),
+      pending_bands_(params.blocks_per_side()),
       row_activation_extra_(params.n, 0) {}
+
+void PimMachine::fold_pending() const {
+  const std::size_t bps = params_.blocks_per_side();
+  for (std::size_t band = pending_bands_.find_first(); band < bps;
+       band = pending_bands_.find_next(band)) {
+    code_.fold_delta_band(pending_, band);
+  }
+  discard_pending();
+}
+
+void PimMachine::discard_pending() const noexcept {
+  const std::size_t bps = params_.blocks_per_side();
+  const std::size_t band_words = m() * ((n() + 63) / 64);
+  for (std::size_t band = pending_bands_.find_first(); band < bps;
+       band = pending_bands_.find_next(band)) {
+    std::fill_n(pending_.data() + band * band_words, band_words, 0);
+  }
+  pending_bands_.fill(false);
+}
 
 void PimMachine::load(const util::BitMatrix& image) {
   if (image.rows() != n() || image.cols() != n()) {
@@ -22,7 +43,9 @@ void PimMachine::load(const util::BitMatrix& image) {
   mem_.write_columns(image);
   for (std::uint64_t& count : row_activation_extra_) ++count;
   // Initial encode: one batch band walk over the whole (physical) array.
+  // It overwrites every check bit, so the pending delta is void.
   code_.encode_all(mem_.contents());
+  discard_pending();
   counters_.mem_cycles = mem_.cycles();
 }
 
@@ -42,6 +65,7 @@ void PimMachine::restore(const util::BitMatrix& data, const ecc::ArrayCode& code
   // intentionally inconsistent, e.g. mid-fault-injection).
   util::transpose_into(data, mem_.contents_mutable());
   code_ = code.transposed();
+  discard_pending();
   mem_.restore_counters(mem_counters);
   counters_ = counters;
 }
@@ -49,7 +73,23 @@ void PimMachine::restore(const util::BitMatrix& data, const ecc::ArrayCode& code
 void PimMachine::update_check_bits_for_line(bool physical_column,
                                             std::size_t line,
                                             const util::BitVector& delta) {
-  code_.apply_line_delta(physical_column, line, delta);
+  // Record, don't fold: the code is linear, so the pending image collects
+  // old XOR new of every written cell and fold_pending() encodes it once,
+  // when the check bits are next read.
+  const std::size_t words = (n() + 63) / 64;
+  if (physical_column) {
+    const std::size_t word = line / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (line % 64);
+    for (std::size_t i = delta.find_first(); i < n(); i = delta.find_next(i)) {
+      pending_[i * words + word] ^= bit;
+      pending_bands_.set(i / m(), true);
+    }
+  } else {
+    const std::span<const std::uint64_t> src = delta.words();
+    std::uint64_t* const dst = pending_.data() + line * words;
+    for (std::size_t w = 0; w < words; ++w) dst[w] ^= src[w];
+    pending_bands_.set(line / m(), true);
+  }
   // Protocol cost, identical to the reference datapath: two MEM->CMEM
   // transfers serialize with the MEM; the XOR3 passes and write-backs run
   // in the CMEM.
@@ -155,6 +195,7 @@ void PimMachine::magic_init_cols_protected(std::span<const std::size_t> rows) {
 
 CheckReport PimMachine::check_block_band(bool physical_row_band,
                                          std::size_t band) {
+  fold_pending();
   const ecc::ScrubReport sr =
       code_.scrub_band(mem_.contents_mutable(), physical_row_band, band);
   CheckReport report;
@@ -180,9 +221,9 @@ CheckReport PimMachine::check_block_col(std::size_t col) {
   return check_block_band(true, col / m());
 }
 
-CheckReport PimMachine::scrub() {
-  // Every block once; the physical row bands are the fast band walk, and
-  // the totals do not depend on the band orientation.
+CheckReport PimMachine::check_all_block_rows() {
+  // Every block once, so the same repairs and totals as the n/m logical
+  // block-row checks; the physical row bands are the fast band walk.
   CheckReport total;
   for (std::size_t band = 0; band < params_.blocks_per_side(); ++band) {
     const CheckReport r = check_block_band(true, band);
@@ -191,12 +232,23 @@ CheckReport PimMachine::scrub() {
     total.corrected_check += r.corrected_check;
     total.uncorrectable += r.uncorrectable;
   }
+  return total;
+}
+
+CheckReport PimMachine::scrub() {
+  const CheckReport total = check_all_block_rows();
   ++counters_.scrubs;
   return total;
 }
 
 bool PimMachine::ecc_consistent() const {
+  fold_pending();
   return code_.consistent_with(mem_.contents());
+}
+
+ecc::ArrayCode PimMachine::check_code() const {
+  fold_pending();
+  return code_.transposed();
 }
 
 void PimMachine::inject_data_error(std::size_t r, std::size_t c) {

@@ -25,14 +25,25 @@
 // The check bits are an ecc::ArrayCode over the physical (transposed)
 // image.  Transposition keeps the diagonal code intact up to an index
 // relabel (ArrayCode::transposed): block (i, j) <-> (j, i), leading index d
-// unchanged, counter index d <-> (m - d) mod m.  So protocol steps 1+3 are
-// one differential rotate+XOR per affected block (apply_line_delta), a
-// logical block-row check is a physical block-column scrub_band, and
+// unchanged, counter index d <-> (m - d) mod m.  So a logical block-row
+// check is a physical block-column scrub_band, the before-use check of
+// every block-row is one physical row-band walk (check_all_block_rows), and
 // scrub/ecc_consistent run on the physical image unchanged.  Every public
 // accessor and entry point speaks the logical frame: data(), get(),
 // column_into(), check_code(), inject_*, restore() and the row-activation
 // tallies translate at the boundary, so checkpoints and all observable
 // state are the same as a row-major machine's.
+//
+// Protocol steps 1+3 are deferred in host time.  The code is linear
+// (encode(a XOR b) = encode(a) XOR encode(b)), so each critical op only
+// XORs its line delta (old XOR new) into a pending physical-frame image --
+// n/64 words for a row-parallel op -- and marks the touched block bands.
+// Every reader of the check bits (the checks, scrub, ecc_consistent,
+// check_code) first folds the dirty bands through
+// ArrayCode::fold_delta_band, one dispatched band walk each; load and
+// restore, which overwrite the code, discard the pending image instead.
+// Fault injection needs no fold: flips commute with the pending XOR.  The
+// result is bit-identical to an eager per-op update.
 //
 // Cycle accounting is unchanged: the protocol's analytic costs are
 // identical to routing the lines through the shifter bank into genuine XOR3
@@ -81,6 +92,11 @@ struct MachineCounters {
 };
 
 /// MEM + CMEM processing-in-memory unit with diagonal-parity ECC.
+///
+/// Not safe for concurrent const use: ecc_consistent() and check_code()
+/// fold the pending check-bit delta, so even const calls mutate.  Share a
+/// machine across threads only under exclusive ownership (the serving
+/// registry's leases).
 class PimMachine {
  public:
   explicit PimMachine(const ArchParams& params);
@@ -142,6 +158,11 @@ class PimMachine {
   CheckReport check_block_row(std::size_t row);
   /// Verifies all blocks of the block-column containing `col`.
   CheckReport check_block_col(std::size_t col);
+  /// The before-use check of every block-row: the summed reports, repairs
+  /// and counter charges of check_block_row on each of the n/m block-rows
+  /// (blocks are disjoint, so the order does not matter), as one physical
+  /// row-band walk.  Unlike scrub() it does not count as a scrub.
+  CheckReport check_all_block_rows();
   /// Periodic full-memory check.
   CheckReport scrub();
 
@@ -158,7 +179,7 @@ class PimMachine {
   [[nodiscard]] const MachineCounters& counters() const noexcept { return counters_; }
   /// The check-bit state (functional view of the CMEM contents), relabelled
   /// into the logical frame: the code a row-major machine would hold.
-  [[nodiscard]] ecc::ArrayCode check_code() const { return code_.transposed(); }
+  [[nodiscard]] ecc::ArrayCode check_code() const;
 
   // --- workload observability -----------------------------------------------
   /// Per-row wordline-activation accounting of the logical MEM rows, with
@@ -192,12 +213,17 @@ class PimMachine {
                const xbar::Crossbar::Counters& mem_counters);
 
  private:
-  /// Runs protocol steps 1+3 for a line write, differentially: `delta` is
-  /// old XOR new of the written line.  `physical_column` true means the
-  /// written line is a physical column (a logical row write or a
-  /// column-parallel op); false means a physical row (a row-parallel op).
+  /// Runs protocol steps 1+3 for a line write: records `delta`, old XOR new
+  /// of the written line, in the pending image and charges the protocol's
+  /// cycles.  `physical_column` true means the written line is a physical
+  /// column (a logical row write or a column-parallel op); false means a
+  /// physical row (a row-parallel op).
   void update_check_bits_for_line(bool physical_column, std::size_t line,
                                   const util::BitVector& delta);
+  /// Folds every dirty band of the pending image into code_ and clears it.
+  void fold_pending() const;
+  /// Clears the pending image without folding it.
+  void discard_pending() const noexcept;
   /// Checks the physical block band: a row band is a logical block-column.
   CheckReport check_block_band(bool physical_row_band, std::size_t band);
   /// Activation tally of a set of explicitly driven logical rows.
@@ -207,7 +233,12 @@ class PimMachine {
 
   ArchParams params_;
   xbar::Crossbar mem_;  ///< lane-major: physical row j = logical column j
-  ecc::ArrayCode code_;  ///< check bits of the physical image
+  // The check state: code_ plus the pending delta not yet folded into it.
+  // mutable so the const readers can fold.
+  mutable ecc::ArrayCode code_;  ///< check bits of the physical image
+  /// Physical-frame delta image, row-major, ceil(n/64) words per row.
+  mutable std::vector<std::uint64_t> pending_;
+  mutable util::BitVector pending_bands_;  ///< physical row bands to fold
   MachineCounters counters_;
   std::uint64_t broadcast_activations_ = 0;  ///< all-row drives
   std::vector<std::uint64_t> row_activation_extra_;  ///< addressed drives

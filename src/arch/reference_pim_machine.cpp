@@ -246,15 +246,20 @@ CheckReport ReferencePimMachine::check_block_col(std::size_t col) {
   return check_block_band(false, col / m());
 }
 
-CheckReport ReferencePimMachine::scrub() {
+CheckReport ReferencePimMachine::check_all_block_rows() {
   CheckReport total;
   for (std::size_t band = 0; band < params_.blocks_per_side(); ++band) {
-    const CheckReport r = check_block_band(true, band);
+    const CheckReport r = check_block_row(band * m());
     total.blocks_checked += r.blocks_checked;
     total.corrected_data += r.corrected_data;
     total.corrected_check += r.corrected_check;
     total.uncorrectable += r.uncorrectable;
   }
+  return total;
+}
+
+CheckReport ReferencePimMachine::scrub() {
+  const CheckReport total = check_all_block_rows();
   ++counters_.scrubs;
   return total;
 }

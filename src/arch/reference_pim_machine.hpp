@@ -11,10 +11,11 @@
 // every line snapshot is peeled one bit at a time.
 //
 // It exists purely as the reference in differential tests and benchmarks --
-// the production machine is PimMachine (pim_machine.hpp), which computes
-// check-bit updates differentially on the diagword kernel and must match
-// this model exactly in memory contents, check state, cycle counters,
-// correction counts, row activations, and throwing behavior on any program.
+// the production machine is PimMachine (pim_machine.hpp), which defers
+// check-bit updates into a pending delta image folded by band walks (this
+// model updates them bit-serially on every op), and must match it exactly
+// in memory contents, check state, cycle counters, correction counts, row
+// activations, and throwing behavior on any program.
 // Keep the two classes' public APIs identical (the same contract as
 // ReferenceCrossbar vs Crossbar and ReferenceBlockCodec vs BlockCodec) --
 // the sanctioned differences are the check-state accessor, which exposes
@@ -75,6 +76,8 @@ class ReferencePimMachine {
 
   CheckReport check_block_row(std::size_t row);
   CheckReport check_block_col(std::size_t col);
+  /// check_block_row on each block-row in turn, reports summed.
+  CheckReport check_all_block_rows();
   CheckReport scrub();
 
   [[nodiscard]] bool ecc_consistent() const;

@@ -1,6 +1,5 @@
 #include "core/array_code.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -278,52 +277,60 @@ ScrubReport ArrayCode::scrub_band(util::BitMatrix& data, bool row_band,
   return report;
 }
 
-void ArrayCode::apply_line_delta(bool line_is_column, std::size_t line,
-                                 const util::BitVector& delta) {
-  if (line >= n_) {
-    throw std::out_of_range("ArrayCode::apply_line_delta: line out of range");
-  }
-  if (delta.size() != n_) {
-    throw std::invalid_argument("ArrayCode::apply_line_delta: delta must have length n");
-  }
+template <typename RowWords>
+void ArrayCode::fold_band(const RowWords& row_words, std::size_t band) {
   const std::size_t mm = m();
   const std::size_t bps = blocks_per_side();
-  const std::size_t band = line / mm;
-  const std::size_t rem = line % mm;
+  if (band >= bps) {
+    throw std::out_of_range("ArrayCode::fold_delta_band: band out of range");
+  }
+  CheckBits* const checks = blocks_.data() + band * bps;
   if (mm > diagword::kMaxM) {
-    // Bit-serial fallback: one continuous-parity update per changed cell.
-    for (std::size_t i = delta.find_first(); i < n_; i = delta.find_next(i)) {
-      const std::size_t r = line_is_column ? i : line;
-      const std::size_t c = line_is_column ? line : i;
-      codec_.update_for_write(blocks_[flat_index(block_of(r, c))], r % mm,
-                              c % mm, false, true);
+    // Bit-serial fallback: one continuous-parity update per set delta bit
+    // (bits past column n, in the last word's padding, are never read).
+    const std::size_t words = (n_ + 63) / 64;
+    const std::uint64_t tail = util::simd::low_mask(n_ - (words - 1) * 64);
+    for (std::size_t r = 0; r < mm; ++r) {
+      const std::uint64_t* const row = row_words(band * mm + r);
+      for (std::size_t wi = 0; wi < words; ++wi) {
+        std::uint64_t w = wi + 1 == words ? row[wi] & tail : row[wi];
+        for (; w != 0; w &= w - 1) {
+          const std::size_t c =
+              wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
+          codec_.update_for_write(checks[c / mm], r, c % mm, false, true);
+        }
+      }
     }
     return;
   }
-  // Only blocks overlapping a nonzero delta word can change; a controller
-  // write of a few cells touches one or two of the n/m blocks.  `next`
-  // keeps a block straddling two nonzero words from being applied twice.
-  const std::span<const std::uint64_t> words = delta.words();
-  std::size_t next = 0;
-  for (std::size_t wi = 0; wi < words.size(); ++wi) {
-    if (words[wi] == 0) continue;
-    const std::size_t last = std::min(bps - 1, (wi * 64 + 63) / mm);
-    for (std::size_t g = std::max(next, wi * 64 / mm); g <= last; ++g) {
-      const std::uint64_t dseg = diagword::extract(words, g * mm, mm);
-      if (dseg == 0) continue;
-      CheckBits& check =
-          line_is_column ? blocks_[g * bps + band] : blocks_[band * bps + g];
-      // Both deltas stay within the low m bits, so XORing them straight
-      // into word 0 keeps the padding invariant.
-      const std::uint64_t dlead = diagword::rotl(dseg, rem, mm);
-      const std::uint64_t dcnt =
-          line_is_column ? diagword::rotl(dseg, (mm - rem) % mm, mm)
-                         : diagword::rotl(diagword::reflect(dseg, mm), rem, mm);
-      check.leading.words_mutable()[0] ^= dlead;
-      check.counter.words_mutable()[0] ^= dcnt;
-    }
-    next = last + 1;
+  std::array<const std::uint64_t*, diagword::kMaxM> ptrs;
+  for (std::size_t r = 0; r < mm; ++r) ptrs[r] = row_words(band * mm + r);
+  std::vector<std::uint64_t> lead(bps);
+  std::vector<std::uint64_t> cnt(bps);
+  util::simd::kernels().band_accumulate(ptrs.data(), mm, bps, lead.data(),
+                                        cnt.data());
+  // Both words stay within the low m bits, so XORing them straight into
+  // word 0 keeps the padding invariant.
+  for (std::size_t bc = 0; bc < bps; ++bc) {
+    checks[bc].leading.words_mutable()[0] ^= lead[bc];
+    checks[bc].counter.words_mutable()[0] ^= diagword::reflect(cnt[bc], mm);
   }
+}
+
+void ArrayCode::fold_delta_band(const util::BitMatrix& delta, std::size_t band) {
+  require_shape(delta);
+  const std::span<const util::BitVector> rows = delta.rows_span();
+  fold_band([&](std::size_t r) { return rows[r].words().data(); }, band);
+}
+
+void ArrayCode::fold_delta_band(std::span<const std::uint64_t> delta,
+                                std::size_t band) {
+  const std::size_t words = (n_ + 63) / 64;
+  if (delta.size() != n_ * words) {
+    throw std::invalid_argument(
+        "ArrayCode::fold_delta_band: delta must be n rows of ceil(n/64) words");
+  }
+  fold_band([&](std::size_t r) { return delta.data() + r * words; }, band);
 }
 
 bool ArrayCode::consistent_with(const util::BitMatrix& data) const {

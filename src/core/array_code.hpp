@@ -5,9 +5,16 @@
 // block (paper Section III).  This is the *functional* (golden) model of the
 // Check Memory contents; src/arch models where those bits physically live
 // and what each update costs in cycles.
+//
+// The code is linear in the data, so the continuous update of a batch of
+// writes can be taken as the encode of their old XOR new delta image:
+// fold_delta_band folds one block band of such an image in one batch band
+// pass, which is how arch::PimMachine keeps its check bits current.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/block_code.hpp"
@@ -106,16 +113,19 @@ class ArrayCode {
   /// can compute the block's residual and roll the repair back.
   BlockRepair scrub_block(util::BitMatrix& data, BlockIndex b);
 
-  /// Differential continuous update for one whole written line (the
-  /// critical-operation protocol's steps 1+3 fused): `delta` is
-  /// old XOR new of the line's n bits.  For a written column
-  /// (`line_is_column`), block-row band g folds rotl(delta_seg, line mod m)
-  /// into its leading family and rotl(delta_seg, -line mod m) into its
-  /// counter family; for a written row the counter family is additionally
-  /// reflected (stride m-1) -- one or two rotate+XORs per affected block,
-  /// never a re-encode.  Validates before mutating any parity.
-  void apply_line_delta(bool line_is_column, std::size_t line,
-                        const util::BitVector& delta);
+  /// Folds a pending data delta into the stored bits: XORs the encode of
+  /// row band `band` (rows [band * m, band * m + m)) of the n x n `delta`
+  /// into the check bits of that band's blocks.  The code is linear, so
+  /// encode_all(a) then a fold of every band of d leaves exactly the bits
+  /// of encode_all(a XOR d), and check-bit errors present beforehand
+  /// survive.  One dispatched band_accumulate pass with the counter reflect
+  /// of encode_all (m <= diagword::kMaxM); one bit-serial parity update per
+  /// set delta bit above.  Validates before mutating any parity.
+  void fold_delta_band(const util::BitMatrix& delta, std::size_t band);
+  /// The same fold over a flat row-major n x n image: row r is the
+  /// BitVector-layout words [r * w, (r + 1) * w), w = ceil(n / 64), with
+  /// zero padding past bit n.
+  void fold_delta_band(std::span<const std::uint64_t> delta, std::size_t band);
 
   /// True iff every check bit matches `data` exactly.
   [[nodiscard]] bool consistent_with(const util::BitMatrix& data) const;
@@ -139,6 +149,9 @@ class ArrayCode {
  private:
   [[nodiscard]] std::size_t flat_index(BlockIndex b) const;
   void require_shape(const util::BitMatrix& data) const;
+  /// fold_delta_band's body; row_words(r) points at absolute row r's words.
+  template <typename RowWords>
+  void fold_band(const RowWords& row_words, std::size_t band);
   /// Word-level syndrome classification + in-place repair of one block given
   /// its freshly accumulated parity words (m <= diagword::kMaxM); the shared
   /// tail of scrub and scrub_band.

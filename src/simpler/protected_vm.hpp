@@ -45,7 +45,7 @@ struct ProtectedRunResult {
 /// outside the program's cells stay ECC-covered throughout.
 ///
 /// `check_inputs_first` runs the paper's before-use check on every block
-/// band, repairing any single soft error that accumulated since the data
+/// band (check_all_block_rows), repairing any single soft error that accumulated since the data
 /// was written.
 template <typename Machine>
 ProtectedRunResult run_program_protected(Machine& machine,
@@ -70,12 +70,9 @@ ProtectedRunResult run_program_protected(Machine& machine,
   // permanently wrong parity (the Section III false-positive race, see
   // bench_false_positive), so every block band is verified first.
   if (check_inputs_first) {
-    for (std::size_t band = 0; band < n / machine.m(); ++band) {
-      const arch::CheckReport report =
-          machine.check_block_row(band * machine.m());
-      result.input_check_corrections += report.corrected_data;
-      result.input_check_corrections += report.corrected_check;
-    }
+    const arch::CheckReport report = machine.check_all_block_rows();
+    result.input_check_corrections += report.corrected_data;
+    result.input_check_corrections += report.corrected_check;
   }
 
   // Load inputs and constants through the protected write path, touching

@@ -10,11 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <set>
 #include <span>
+#include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "arch/checkpoint.hpp"
 #include "arch/pim_machine.hpp"
 #include "arch/reference_pim_machine.hpp"
 #include "arch/scheduler.hpp"
@@ -425,9 +431,7 @@ struct FaultAfterOp {
 
   [[nodiscard]] std::size_t n() const { return machine.n(); }
   [[nodiscard]] std::size_t m() const { return machine.m(); }
-  CheckReport check_block_row(std::size_t row) {
-    return machine.check_block_row(row);
-  }
+  CheckReport check_all_block_rows() { return machine.check_all_block_rows(); }
   void write_row_masked_protected(std::size_t r, const util::BitVector& values,
                                   const util::BitVector& mask) {
     machine.write_row_masked_protected(r, values, mask);
@@ -513,6 +517,300 @@ TEST(ArchEngineDifferential, ServedShapeRunWithMidRunFaultsAgrees) {
     EXPECT_TRUE(pair.fast.ecc_consistent());
     EXPECT_TRUE(machines_agree(pair));
   }
+}
+
+// ------------------------------------------------- deferred check fold
+
+/// One protected op that leaves a delta pending on PimMachine (nothing in
+/// here reads the check bits), or a fault injected while deltas pend.
+void pending_op(MachinePair& pair, util::Rng& rng) {
+  const std::size_t n = pair.fast.n();
+  const std::size_t m = pair.fast.m();
+  const std::size_t out = rng.uniform_below(n);
+  const std::vector<std::size_t> outs{out};
+  const std::vector<std::size_t> ins{(out + 1 + rng.uniform_below(n - 1)) % n};
+  switch (rng.uniform_below(6)) {
+    case 0: {  // row-parallel init + NOR: physical-row deltas
+      pair.fast.magic_init_rows_protected(outs);
+      pair.ref.magic_init_rows_protected(outs);
+      if (rng.bernoulli(0.3)) {
+        const std::vector<std::size_t> lanes = random_lanes(n, rng);
+        pair.fast.magic_nor_rows_protected(ins, out, lanes);
+        pair.ref.magic_nor_rows_protected(ins, out, lanes);
+      } else {
+        pair.fast.magic_nor_rows_protected(ins, out);
+        pair.ref.magic_nor_rows_protected(ins, out);
+      }
+      break;
+    }
+    case 1: {  // column-parallel init + NOR: physical-column deltas
+      pair.fast.magic_init_cols_protected(outs);
+      pair.ref.magic_init_cols_protected(outs);
+      pair.fast.magic_nor_cols_protected(ins, out);
+      pair.ref.magic_nor_cols_protected(ins, out);
+      break;
+    }
+    case 2: {
+      const util::BitVector values = random_vector(n, rng);
+      pair.fast.write_row_protected(out, values);
+      pair.ref.write_row_protected(out, values);
+      break;
+    }
+    case 3: {
+      const util::BitVector values = random_vector(n, rng);
+      util::BitVector mask(n);
+      for (std::size_t c = 0; c < n; ++c) mask.set(c, rng.bernoulli(0.2));
+      pair.fast.write_row_masked_protected(out, values, mask);
+      pair.ref.write_row_masked_protected(out, values, mask);
+      break;
+    }
+    case 4: {
+      const std::size_t c = rng.uniform_below(n);
+      pair.fast.inject_data_error(out, c);
+      pair.ref.inject_data_error(out, c);
+      break;
+    }
+    default: {
+      const Axis axis = rng.bernoulli(0.5) ? Axis::kLeading : Axis::kCounter;
+      const std::size_t diag = rng.uniform_below(m);
+      const ecc::BlockIndex block{rng.uniform_below(n / m),
+                                  rng.uniform_below(n / m)};
+      pair.fast.inject_check_error(axis, diag, block);
+      pair.ref.inject_check_error(axis, diag, block);
+      break;
+    }
+  }
+}
+
+/// Bursts of pending ops, each closed by one reader or overwriter of the
+/// check bits: every fold trigger (the checks, scrub, check_all_block_rows,
+/// ecc_consistent, check_code, save_machine_checkpoint), every discard
+/// (load, restore) and a throwing restore, which must leave the pending
+/// delta in place.  Nothing else reads the fast machine's check state
+/// between triggers, so the deltas pile up; lockstep is asserted at the
+/// end and on the non-folding state after every burst.
+void run_deferred_fold_program(std::size_t n, std::size_t m, std::uint64_t seed,
+                               int bursts) {
+  const ArchParams params = make_params(n, m);
+  MachinePair pair(params);
+  util::Rng rng(seed);
+  pair.load(random_matrix(n, rng));
+
+  struct Snapshot {
+    util::BitMatrix data;
+    ecc::ArrayCode code;
+    arch::MachineCounters counters;
+    xbar::Crossbar::Counters mem_counters;
+    ReferencePimMachine ref;
+  };
+  std::optional<Snapshot> snapshot;
+
+  for (int burst = 0; burst < bursts; ++burst) {
+    const std::uint64_t ops = 1 + rng.uniform_below(6);
+    for (std::uint64_t i = 0; i < ops; ++i) pending_op(pair, rng);
+    const std::uint64_t trigger = rng.uniform_below(11);
+    SCOPED_TRACE(::testing::Message() << "burst " << burst << " trigger " << trigger);
+    switch (trigger) {
+      case 0: {
+        const std::size_t row = rng.uniform_below(n);
+        ASSERT_EQ(pair.fast.check_block_row(row), pair.ref.check_block_row(row));
+        break;
+      }
+      case 1: {
+        const std::size_t col = rng.uniform_below(n);
+        ASSERT_EQ(pair.fast.check_block_col(col), pair.ref.check_block_col(col));
+        break;
+      }
+      case 2:
+        ASSERT_EQ(pair.fast.scrub(), pair.ref.scrub());
+        break;
+      case 3:
+        ASSERT_EQ(pair.fast.check_all_block_rows(), pair.ref.check_all_block_rows());
+        break;
+      case 4:
+        ASSERT_EQ(pair.fast.ecc_consistent(), pair.ref.ecc_consistent());
+        break;
+      case 5:
+        ASSERT_TRUE(pair.ref.check_memory().matches(pair.fast.check_code()));
+        break;
+      case 6: {  // checkpoint bytes carry the folded state
+        std::stringstream stream;
+        arch::save_machine_checkpoint(stream, pair.fast);
+        PimMachine copy(params);
+        arch::load_machine_checkpoint(stream, copy);
+        ASSERT_EQ(copy.data(), pair.ref.data());
+        ASSERT_TRUE(pair.ref.check_memory().matches(copy.check_code()));
+        ASSERT_EQ(copy.counters(), pair.ref.counters());
+        break;
+      }
+      case 7:
+        pair.load(random_matrix(n, rng));
+        break;
+      case 8:  // capture now, restore at a later trigger
+        snapshot = Snapshot{pair.fast.data(), pair.fast.check_code(),
+                            pair.fast.counters(), pair.fast.mem_counters(),
+                            pair.ref};
+        break;
+      case 9:
+        if (snapshot) {
+          pair.fast.restore(snapshot->data, snapshot->code, snapshot->counters,
+                            snapshot->mem_counters);
+          pair.ref = snapshot->ref;
+          // restore() keeps the activation history; the copied reference
+          // brought its own back, so restart both.
+          pair.fast.reset_mem_row_activations();
+          pair.ref.reset_mem_row_activations();
+        }
+        break;
+      default:  // rejected restores: validated before anything moves
+        EXPECT_THROW(pair.fast.restore(util::BitMatrix(n, n - 1),
+                                       ecc::ArrayCode(n, m), pair.fast.counters(),
+                                       pair.fast.mem_counters()),
+                     std::invalid_argument);
+        EXPECT_THROW(pair.fast.restore(pair.fast.data(), ecc::ArrayCode(2 * n, m),
+                                       pair.fast.counters(),
+                                       pair.fast.mem_counters()),
+                     std::invalid_argument);
+        break;
+    }
+    ASSERT_EQ(pair.fast.data(), pair.ref.data());
+    ASSERT_EQ(pair.fast.counters(), pair.ref.counters());
+  }
+  for (int i = 0; i < 4; ++i) pending_op(pair, rng);
+  EXPECT_TRUE(machines_agree(pair));
+  EXPECT_EQ(pair.fast.scrub(), pair.ref.scrub());
+  EXPECT_TRUE(machines_agree(pair));
+}
+
+TEST(ArchEngineDeferredFold, EveryTriggerAgreesN45M9) {
+  run_deferred_fold_program(45, 9, 0xDEF1, 150);
+}
+
+TEST(ArchEngineDeferredFold, EveryTriggerAgreesN135M15) {
+  run_deferred_fold_program(135, 15, 0xDEF2, 80);
+}
+
+TEST(ArchEngineDeferredFold, EveryTriggerAgreesN66M3) {
+  run_deferred_fold_program(66, 3, 0xDEF3, 100);
+}
+
+TEST(ArchEngineDeferredFold, EveryTriggerAgreesBitSerialFallbackM65) {
+  // m > 64: the fold takes ArrayCode's one-update-per-set-bit fallback.
+  run_deferred_fold_program(130, 65, 0xDEF4, 25);
+}
+
+/// Data and check-bit faults injected while deltas pend are repaired by the
+/// next check exactly as on an eagerly updated machine: the flips commute
+/// with the pending XOR, so no fold is needed at injection time.
+TEST(ArchEngineDeferredFold, FaultsInjectedWhileDeltasPendAreRepaired) {
+  const std::size_t n = 60, m = 15;
+  MachinePair pair(make_params(n, m));
+  util::Rng rng(0xDEF5);
+  pair.load(random_matrix(n, rng));
+  const auto program = [](auto& machine) {
+    const std::vector<std::size_t> outs{3};
+    const std::vector<std::size_t> ins{20, 41};
+    machine.magic_init_rows_protected(outs);
+    machine.magic_nor_rows_protected(ins, 3);
+    machine.inject_data_error(50, 3);  // a cell the NOR just wrote
+    machine.inject_check_error(Axis::kCounter, 4, {0, 2});
+    machine.magic_init_rows_protected(std::vector<std::size_t>{40});
+  };
+  program(pair.fast);
+  program(pair.ref);
+
+  EXPECT_FALSE(pair.fast.ecc_consistent());
+  const CheckReport report = pair.fast.scrub();
+  EXPECT_EQ(report, pair.ref.scrub());
+  EXPECT_EQ(report.corrected_data, 1u);
+  EXPECT_EQ(report.corrected_check, 1u);
+  EXPECT_EQ(report.uncorrectable, 0u);
+  EXPECT_TRUE(pair.fast.ecc_consistent());
+  EXPECT_TRUE(machines_agree(pair));
+}
+
+// ------------------------------------------------ check_all_block_rows
+
+/// check_all_block_rows against the n/m check_block_row calls it replaces,
+/// on both machines from identical faulted states: the same summed report,
+/// repairs, check state and counters (checks += n/m, no scrub).
+void expect_all_block_rows_is_the_loop(
+    std::size_t n, std::size_t m, std::uint64_t seed,
+    const std::function<void(MachinePair&)>& faults) {
+  const ArchParams params = make_params(n, m);
+  MachinePair all(params);
+  MachinePair loop(params);
+  util::Rng rng(seed);
+  const util::BitMatrix image = random_matrix(n, rng);
+  all.load(image);
+  loop.load(image);
+  faults(all);
+  faults(loop);
+  const arch::MachineCounters before = all.fast.counters();
+
+  const CheckReport fast_all = all.fast.check_all_block_rows();
+  const CheckReport ref_all = all.ref.check_all_block_rows();
+  CheckReport fast_loop, ref_loop;
+  const auto add = [](CheckReport& total, const CheckReport& r) {
+    total.blocks_checked += r.blocks_checked;
+    total.corrected_data += r.corrected_data;
+    total.corrected_check += r.corrected_check;
+    total.uncorrectable += r.uncorrectable;
+  };
+  for (std::size_t band = 0; band < n / m; ++band) {
+    add(fast_loop, loop.fast.check_block_row(band * m));
+    add(ref_loop, loop.ref.check_block_row(band * m));
+  }
+  EXPECT_EQ(fast_all, fast_loop);
+  EXPECT_EQ(ref_all, ref_loop);
+  EXPECT_EQ(fast_all, ref_all);
+  EXPECT_EQ(fast_all.blocks_checked, (n / m) * (n / m));
+  EXPECT_EQ(all.fast.counters().checks, before.checks + n / m);
+  EXPECT_EQ(all.fast.counters().scrubs, before.scrubs);
+  EXPECT_EQ(all.fast.counters(), loop.fast.counters());
+  EXPECT_EQ(all.ref.counters(), loop.ref.counters());
+  EXPECT_EQ(all.fast.data(), loop.fast.data());
+  EXPECT_TRUE(loop.ref.check_memory().matches(all.fast.check_code()));
+  EXPECT_TRUE(machines_agree(all));
+  EXPECT_TRUE(machines_agree(loop));
+}
+
+TEST(ArchEngineAllBlockRows, SingleDataErrorsInDistinctBlocks) {
+  expect_all_block_rows_is_the_loop(60, 15, 0xA11, [](MachinePair& pair) {
+    for (const auto& [r, c] : {std::pair{0, 0}, {17, 44}, {59, 31}, {33, 2}}) {
+      pair.fast.inject_data_error(r, c);
+      pair.ref.inject_data_error(r, c);
+    }
+  });
+}
+
+TEST(ArchEngineAllBlockRows, CheckBitErrors) {
+  expect_all_block_rows_is_the_loop(45, 9, 0xA12, [](MachinePair& pair) {
+    for (const auto& [axis, diag, br, bc] :
+         {std::tuple{Axis::kLeading, 0, 0, 4}, {Axis::kCounter, 8, 3, 1},
+          {Axis::kCounter, 1, 4, 4}}) {
+      pair.fast.inject_check_error(axis, diag, {std::size_t(br), std::size_t(bc)});
+      pair.ref.inject_check_error(axis, diag, {std::size_t(br), std::size_t(bc)});
+    }
+  });
+}
+
+TEST(ArchEngineAllBlockRows, TwoErrorsInOneBlockAmongSingles) {
+  expect_all_block_rows_is_the_loop(66, 3, 0xA13, [](MachinePair& pair) {
+    for (const auto& [r, c] : {std::pair{9, 9}, {10, 11}, {40, 5}, {65, 65}}) {
+      pair.fast.inject_data_error(r, c);
+      pair.ref.inject_data_error(r, c);
+    }
+    pair.fast.inject_check_error(Axis::kLeading, 2, {1, 1});
+    pair.ref.inject_check_error(Axis::kLeading, 2, {1, 1});
+  });
+}
+
+TEST(ArchEngineAllBlockRows, FaultsBehindPendingDeltas) {
+  expect_all_block_rows_is_the_loop(135, 15, 0xA14, [](MachinePair& pair) {
+    util::Rng rng(0xA15);  // same stream for both pairs
+    for (int i = 0; i < 12; ++i) pending_op(pair, rng);
+  });
 }
 
 // ---------------------------------------------------- cycle-count pinning

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "arch/check_memory.hpp"
@@ -504,6 +506,84 @@ TEST(CodecTranspose, EverySingleErrorRepairsIdenticallyInBothFrames) {
   }
 }
 
+// --------------------------------------------------- deferred delta fold
+
+/// `d` as the flat row-major image fold_delta_band's span overload reads:
+/// ceil(n/64) words per row.
+std::vector<std::uint64_t> flat_image(const BitMatrix& d) {
+  std::vector<std::uint64_t> flat;
+  for (std::size_t r = 0; r < d.rows(); ++r) {
+    const auto words = d.row(r).words();
+    flat.insert(flat.end(), words.begin(), words.end());
+  }
+  return flat;
+}
+
+/// Linearity: encode_all(a), then a fold of every band of d, leaves the
+/// bits of encode_all(a XOR d) -- with check-bit errors injected before
+/// the fold carried through unchanged.  m = 65 runs the bit-serial
+/// fallback.
+TEST(CodecFold, FoldOfEveryBandIsTheEncodeOfTheXor) {
+  Rng rng(0xF01D);
+  for (const std::size_t m : {3u, 5u, 7u, 9u, 15u, 31u, 63u, 65u}) {
+    SCOPED_TRACE(m);
+    const std::size_t n = m * (m < 40 ? 130 / m : 2);  // lines cross words
+    const std::size_t bps = n / m;
+    const BitMatrix a = random_matrix(n, n, rng);
+    // A dense delta and a sparse one (a handful of cells, most bands clean).
+    BitMatrix sparse(n, n);
+    for (int i = 0; i < 5; ++i) {
+      sparse.flip(rng.uniform_below(n), rng.uniform_below(n));
+    }
+    for (const BitMatrix& d : {random_matrix(n, n, rng), sparse}) {
+      BitMatrix sum = a;
+      for (std::size_t r = 0; r < n; ++r) sum.row(r) ^= d.row(r);
+
+      ArrayCode folded(n, m);
+      folded.encode_all(a);
+      ArrayCode expected(n, m);
+      expected.encode_all(sum);
+      for (int i = 0; i < 3; ++i) {
+        const BlockIndex b{rng.uniform_below(bps), rng.uniform_below(bps)};
+        const std::size_t index = rng.uniform_below(m);
+        const bool leading = rng.bernoulli(0.5);
+        for (ArrayCode* code : {&folded, &expected}) {
+          CheckBits& bits = code->check_bits_mutable(b);
+          (leading ? bits.leading : bits.counter).flip(index);
+        }
+      }
+      ArrayCode folded_flat = folded;
+      const std::vector<std::uint64_t> flat = flat_image(d);
+      for (std::size_t band = 0; band < bps; ++band) {
+        folded.fold_delta_band(d, band);
+        folded_flat.fold_delta_band(flat, band);
+      }
+      EXPECT_TRUE(codes_equal(folded, expected));
+      EXPECT_TRUE(codes_equal(folded_flat, expected));
+    }
+  }
+}
+
+/// A fold touches only its own band's blocks.
+TEST(CodecFold, FoldTouchesOnlyItsBand) {
+  Rng rng(0xF01E);
+  const std::size_t n = 45, m = 9;
+  const BitMatrix a = random_matrix(n, n, rng);
+  const BitMatrix d = random_matrix(n, n, rng);
+  ArrayCode code(n, m);
+  code.encode_all(a);
+  const ArrayCode before = code;
+  code.fold_delta_band(d, 2);
+  for (std::size_t br = 0; br < n / m; ++br) {
+    for (std::size_t bc = 0; bc < n / m; ++bc) {
+      if (br == 2) continue;
+      EXPECT_EQ(code.check_bits({br, bc}), before.check_bits({br, bc}))
+          << br << "," << bc;
+    }
+  }
+  EXPECT_FALSE(codes_equal(code, before));
+}
+
 // ------------------------------------- validate-before-mutate regressions
 
 TEST(CodecValidation, ArrayCodeApplyWritesIsAtomicOnBadBatch) {
@@ -518,6 +598,23 @@ TEST(CodecValidation, ArrayCodeApplyWritesIsAtomicOnBadBatch) {
   batch.push_back({0, 0, data.get(0, 0), !data.get(0, 0)});
   batch.push_back({n, 0, false, true});
   EXPECT_THROW(code.apply_writes(batch), std::out_of_range);
+  EXPECT_TRUE(code.consistent_with(data));
+}
+
+TEST(CodecValidation, ArrayCodeFoldRejectsBadInputsWithoutMutating) {
+  const std::size_t n = 15, m = 5;
+  Rng rng(0xC0DEC'0Bull);
+  const BitMatrix data = random_matrix(n, n, rng);
+  const BitMatrix delta = random_matrix(n, n, rng);
+  ArrayCode code(n, m);
+  code.encode_all(data);
+  EXPECT_THROW(code.fold_delta_band(delta, n / m), std::out_of_range);
+  EXPECT_THROW(code.fold_delta_band(random_matrix(n, n + 1, rng), 0),
+               std::invalid_argument);
+  const std::vector<std::uint64_t> flat = flat_image(delta);
+  EXPECT_THROW(code.fold_delta_band(flat, n / m), std::out_of_range);
+  EXPECT_THROW(code.fold_delta_band(std::span(flat).first(flat.size() - 1), 0),
+               std::invalid_argument);
   EXPECT_TRUE(code.consistent_with(data));
 }
 

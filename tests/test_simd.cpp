@@ -244,10 +244,12 @@ ArrayRun run_array_code(simd::Level level, ArrayShape shape,
   run.block_repair = code.scrub_block(
       block_data, {rng.uniform_below(bps), rng.uniform_below(bps)});
 
-  // Line-delta bookkeeping (both orientations).  Re-encode first: blocks
-  // that took two faults above are *correctly* left inconsistent by scrub,
-  // and the consistency assertion below needs a clean baseline.
+  // Deferred line-delta bookkeeping (both orientations): the line deltas
+  // collect in a pending image, folded band by band.  Re-encode first:
+  // blocks that took two faults above are *correctly* left inconsistent by
+  // scrub, and the consistency assertion below needs a clean baseline.
   code.encode_all(data);
+  BitMatrix pending(shape.n, shape.n);
   for (const bool is_column : {false, true}) {
     BitVector delta(shape.n);
     for (auto& w : delta.words_mutable()) w = rng.next();
@@ -258,8 +260,11 @@ ArrayRun run_array_code(simd::Level level, ArrayShape shape,
       const std::size_t r = is_column ? i : line;
       const std::size_t c = is_column ? line : i;
       data.flip(r, c);
+      pending.flip(r, c);
     }
-    code.apply_line_delta(is_column, line, delta);
+  }
+  for (std::size_t band = 0; band < bps; ++band) {
+    code.fold_delta_band(pending, band);
   }
   for (std::size_t br = 0; br < bps; ++br) {
     for (std::size_t bc = 0; bc < bps; ++bc) {

@@ -160,4 +160,14 @@ else
   echo "==== bench_scenarios not built; skipping smoke bench ===="
 fi
 
+# The scenario engine's results are pinned: a full bench_scenarios run
+# (about 1 s) must reproduce the committed BENCH_scenarios.json byte for
+# byte, so any drift in the fault, scrub-policy or RNG streams fails CI.
+if [[ -n "$release_dir" && -x "$scenarios_bin" ]]; then
+  echo "==== [Release] bench_scenarios (full, pinned to BENCH_scenarios.json) ===="
+  "$scenarios_bin" --out="$release_dir/BENCH_scenarios.full.json"
+  cmp "$release_dir/BENCH_scenarios.full.json" "$repo/BENCH_scenarios.json"
+  echo "BENCH_scenarios.json reproduced byte for byte"
+fi
+
 echo "==== CI gate passed (Debug + Release) ===="
