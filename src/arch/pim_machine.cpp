@@ -1,6 +1,7 @@
 #include "arch/pim_machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "arch/arch_checks.hpp"
@@ -13,13 +14,19 @@ PimMachine::PimMachine(const ArchParams& params)
       mem_((params.validate(), params.n), params.n),
       code_(params.n, params.m),
       pending_(params.n * ((params.n + 63) / 64), 0),
-      pending_bands_(params.blocks_per_side()),
+      pending_rows_(params.n),
       row_activation_extra_(params.n, 0) {}
+
+std::size_t PimMachine::next_pending_band(std::size_t band) const noexcept {
+  const std::size_t row = band == 0 ? pending_rows_.find_first()
+                                    : pending_rows_.find_next(band * m() - 1);
+  return row / m();  // n / m = blocks_per_side() when no row is left
+}
 
 void PimMachine::fold_pending() const {
   const std::size_t bps = params_.blocks_per_side();
-  for (std::size_t band = pending_bands_.find_first(); band < bps;
-       band = pending_bands_.find_next(band)) {
+  for (std::size_t band = next_pending_band(0); band < bps;
+       band = next_pending_band(band + 1)) {
     code_.fold_delta_band(pending_, band);
   }
   discard_pending();
@@ -28,11 +35,11 @@ void PimMachine::fold_pending() const {
 void PimMachine::discard_pending() const noexcept {
   const std::size_t bps = params_.blocks_per_side();
   const std::size_t band_words = m() * ((n() + 63) / 64);
-  for (std::size_t band = pending_bands_.find_first(); band < bps;
-       band = pending_bands_.find_next(band)) {
+  for (std::size_t band = next_pending_band(0); band < bps;
+       band = next_pending_band(band + 1)) {
     std::fill_n(pending_.data() + band * band_words, band_words, 0);
   }
-  pending_bands_.fill(false);
+  pending_rows_.fill(false);
 }
 
 void PimMachine::load(const util::BitMatrix& image) {
@@ -77,18 +84,25 @@ void PimMachine::update_check_bits_for_line(bool physical_column,
   // old XOR new of every written cell and fold_pending() encodes it once,
   // when the check bits are next read.
   const std::size_t words = (n() + 63) / 64;
+  const std::span<const std::uint64_t> src = delta.words();
   if (physical_column) {
+    // One pending bit per changed cell; the changed cells' rows are the
+    // delta itself, so marking them is a word OR.
     const std::size_t word = line / 64;
     const std::uint64_t bit = std::uint64_t{1} << (line % 64);
-    for (std::size_t i = delta.find_first(); i < n(); i = delta.find_next(i)) {
-      pending_[i * words + word] ^= bit;
-      pending_bands_.set(i / m(), true);
+    const std::span<std::uint64_t> rows = pending_rows_.words_mutable();
+    for (std::size_t wi = 0; wi < words; ++wi) {
+      rows[wi] |= src[wi];
+      for (std::uint64_t w = src[wi]; w != 0; w &= w - 1) {
+        const std::size_t i =
+            wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
+        pending_[i * words + word] ^= bit;
+      }
     }
   } else {
-    const std::span<const std::uint64_t> src = delta.words();
     std::uint64_t* const dst = pending_.data() + line * words;
     for (std::size_t w = 0; w < words; ++w) dst[w] ^= src[w];
-    pending_bands_.set(line / m(), true);
+    pending_rows_.set(line, true);
   }
   // Protocol cost, identical to the reference datapath: two MEM->CMEM
   // transfers serialize with the MEM; the XOR3 passes and write-backs run

@@ -37,11 +37,12 @@
 // Protocol steps 1+3 are deferred in host time.  The code is linear
 // (encode(a XOR b) = encode(a) XOR encode(b)), so each critical op only
 // XORs its line delta (old XOR new) into a pending physical-frame image --
-// n/64 words for a row-parallel op -- and marks the touched block bands.
-// Every reader of the check bits (the checks, scrub, ecc_consistent,
-// check_code) first folds the dirty bands through
-// ArrayCode::fold_delta_band, one dispatched band walk each; load and
-// restore, which overwrite the code, discard the pending image instead.
+// n/64 words for a row-parallel op, one bit per changed cell for a column
+// write -- and marks the touched rows.  Every reader of the check bits
+// (the checks, scrub, ecc_consistent, check_code) first folds the block
+// bands holding marked rows through ArrayCode::fold_delta_band, one
+// dispatched band walk each; load and restore, which overwrite the code,
+// discard the pending image instead.
 // Fault injection needs no fold: flips commute with the pending XOR.  The
 // result is bit-identical to an eager per-op update.
 //
@@ -220,6 +221,9 @@ class PimMachine {
   /// physical row (a row-parallel op).
   void update_check_bits_for_line(bool physical_column, std::size_t line,
                                   const util::BitVector& delta);
+  /// The first block band at or after `band` holding a pending row, or
+  /// blocks_per_side() if there is none.
+  [[nodiscard]] std::size_t next_pending_band(std::size_t band) const noexcept;
   /// Folds every dirty band of the pending image into code_ and clears it.
   void fold_pending() const;
   /// Clears the pending image without folding it.
@@ -238,7 +242,7 @@ class PimMachine {
   mutable ecc::ArrayCode code_;  ///< check bits of the physical image
   /// Physical-frame delta image, row-major, ceil(n/64) words per row.
   mutable std::vector<std::uint64_t> pending_;
-  mutable util::BitVector pending_bands_;  ///< physical row bands to fold
+  mutable util::BitVector pending_rows_;  ///< physical rows with a delta
   MachineCounters counters_;
   std::uint64_t broadcast_activations_ = 0;  ///< all-row drives
   std::vector<std::uint64_t> row_activation_extra_;  ///< addressed drives
