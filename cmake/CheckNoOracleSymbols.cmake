@@ -21,6 +21,7 @@ endif()
 set(forbidden
   "ReferenceCrossbar" "ReferenceBlockCodec" "ReferencePimMachine"
   "CheckMemory" "ProcessingXbar" "ShifterBank" "rel::reference_"
+  "ReferenceDisturbance"
   "PcController" "MemorySystem" "xbar::Trace[^A-Za-z0-9_]")
 set(leaks "")
 foreach(pattern IN LISTS forbidden)

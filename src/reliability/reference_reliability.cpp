@@ -9,6 +9,7 @@
 
 #include "core/array_code.hpp"
 #include "fault/injector.hpp"
+#include "fault/reference_disturbance.hpp"
 #include "reliability/config_checks.hpp"
 #include "util/bitmatrix.hpp"
 #include "util/bitvector.hpp"
@@ -242,6 +243,24 @@ LifetimeResult reference_simulate_lifetime(const LifetimeConfig& config,
     }
   }
   return result;
+}
+
+ScenarioResult reference_run_scenario(const ScenarioConfig& config,
+                                      util::Rng& rng) {
+  return detail::run_scenario_with(
+      config, rng,
+      [&config](util::Rng& trial_rng, double hours,
+                std::vector<fault::DataFlip>& out) {
+        const FaultMix& mix = config.faults;
+        const fault::ReferenceDisturbanceModel model(
+            config.n, config.n,
+            {mix.disturb_per_activation, mix.disturb_radius,
+             /*activation_floor=*/0});
+        std::vector<double> activations =
+            row_activation_rates(config.workload, config.n);
+        for (double& a : activations) a *= hours;
+        model.sample(trial_rng, activations, out);
+      });
 }
 
 }  // namespace pimecc::rel

@@ -25,10 +25,18 @@
 // counts within statistical bands and analytic-model agreement -- gated by
 // tests/test_reliability_engine.cpp and bench_reliability_throughput, not
 // bit equality.
+//
+// reference_run_scenario: the scenario engine on the per-row binomial
+// disturbance sampler (fault::ReferenceDisturbanceModel), rebuilding each
+// window's activation vector from the workload's rates -- the engine as it
+// ran before the sparse sampler, so it reproduces that engine's results
+// bit for bit.  The sparse sampler draws a different stream, so run_scenario
+// is pinned to it in distribution (tests/test_disturbance_oracle.cpp).
 #pragma once
 
 #include "reliability/lifetime.hpp"
 #include "reliability/montecarlo.hpp"
+#include "reliability/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace pimecc::rel {
@@ -42,5 +50,10 @@ namespace pimecc::rel {
 /// caller's stream directly; `config.threads` is ignored).
 [[nodiscard]] LifetimeResult reference_simulate_lifetime(
     const LifetimeConfig& config, util::Rng& rng);
+
+/// run_scenario with the per-row binomial disturbance sampler (same
+/// validation and determinism contract).
+[[nodiscard]] ScenarioResult reference_run_scenario(
+    const ScenarioConfig& config, util::Rng& rng);
 
 }  // namespace pimecc::rel

@@ -15,8 +15,9 @@
 //
 // The bookkeeping costs O(scrub events + faults) per trial: nothing scans
 // every block, and no BitMatrix is materialized.  (A band scrub walks the
-// blocks of the bands it covers, and the disturbance mechanism, when
-// enabled, draws per row every window.)  Each lane keeps a dirty-block list
+// blocks of the bands it covers.  The disturbance mechanism makes flips + 1
+// draws per window from one pressure profile built per campaign;
+// fault/disturbance.hpp.)  Each lane keeps a dirty-block list
 // under one invariant: every block with a non-empty diff set is listed
 // exactly once (a per-block flag guards membership); the list may also
 // hold blocks that have since emptied.  Beside it, a counter of the blocks
@@ -44,10 +45,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string_view>
 #include <vector>
 
 #include "fault/burst.hpp"
+#include "fault/injector.hpp"
 #include "reliability/scrub_policy.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -154,5 +157,23 @@ struct ScenarioResult {
 /// an invalid configuration before consuming any randomness.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config,
                                           util::Rng& rng);
+
+namespace detail {
+
+/// Appends the disturbance flips of one window of `hours` to `out`, drawing
+/// from the trial's rng.  Called once per window, only when
+/// config.faults.disturb_per_activation > 0.
+using DisturbanceSampler = std::function<void(
+    util::Rng&, double hours, std::vector<fault::DataFlip>&)>;
+
+/// The engine behind run_scenario, with the disturbance draw supplied by the
+/// caller.  run_scenario passes fault::DisturbanceModel's sparse sampler;
+/// the test-only rel::reference_run_scenario passes the per-row binomial
+/// oracle.  Same validation and determinism contract as run_scenario.
+[[nodiscard]] ScenarioResult run_scenario_with(
+    const ScenarioConfig& config, util::Rng& rng,
+    const DisturbanceSampler& sample_disturbance);
+
+}  // namespace detail
 
 }  // namespace pimecc::rel

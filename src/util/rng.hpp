@@ -72,7 +72,13 @@ class Rng {
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
   /// Binomial sample: number of successes in n trials of probability p.
-  /// Delegates to std::binomial_distribution (exact).
+  /// Delegates to std::binomial_distribution (exact).  That algorithm is
+  /// the standard library's, not fixed by the C++ standard, so every stream
+  /// that goes through binomial() or poisson() is tied to libstdc++: the
+  /// fault models (fault/models.cpp), reliability/sparse_trial,
+  /// reliability/lifetime, and the scenario engine's iid and burst
+  /// mechanisms.  The disturbance sampler (fault/disturbance.hpp) uses only
+  /// next() (through uniform01()) and libm's log1p.
   [[nodiscard]] std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Geometric sample: number of failures before the first success in iid

@@ -81,10 +81,9 @@ TEST(Disturbance, FlipsLandOnlyOnVictimRows) {
   acts[4] = 50.0;  // single aggressor: victims are rows 3 and 5 only
   util::Rng rng(11);
   std::vector<fault::DataFlip> out;
-  std::vector<std::size_t> scratch;
   for (int draw = 0; draw < 50; ++draw) {
     out.clear();
-    model.sample(rng, acts, out, scratch);
+    model.sample(rng, acts, out);
     std::set<std::pair<std::size_t, std::size_t>> seen;
     for (const fault::DataFlip& f : out) {
       EXPECT_TRUE(f.r == 3 || f.r == 5) << "non-victim row " << f.r;
@@ -127,18 +126,17 @@ TEST(Disturbance, HazardIsChunkInvariantInDistribution) {
   const int kDraws = 400;
   std::size_t flips_one = 0, flips_two = 0;
   std::vector<fault::DataFlip> out;
-  std::vector<std::size_t> scratch;
   for (int draw = 0; draw < kDraws; ++draw) {
     out.clear();
-    model.sample(rng_one, full, out, scratch);
+    model.sample(rng_one, full, out);
     flips_one += std::count_if(out.begin(), out.end(),
                                [](const fault::DataFlip& f) { return f.r == 0; });
     // Two half-windows: a cell flips in the window iff it flips an odd
     // number of times; with independent per-window Bernoulli hazards the
     // *expected flip count* is what adds, so compare total flips.
     out.clear();
-    model.sample(rng_two, half, out, scratch);
-    model.sample(rng_two, half, out, scratch);
+    model.sample(rng_two, half, out);
+    model.sample(rng_two, half, out);
     flips_two += std::count_if(out.begin(), out.end(),
                                [](const fault::DataFlip& f) { return f.r == 0; });
   }
@@ -152,6 +150,164 @@ TEST(Disturbance, HazardIsChunkInvariantInDistribution) {
       1.0 - std::pow(1.0 - (static_cast<double>(flips_two) / (2.0 * kCells)), 2.0);
   EXPECT_NEAR(rate_one, 1.0 - std::exp(-1.6), 0.02);
   EXPECT_NEAR(p_two_union, 1.0 - std::exp(-1.6), 0.02);
+}
+
+// A saturating hazard (k = 0.5 against one aggressor of 10^6 activations)
+// flips every victim cell, each exactly once: every gap restarts at the end
+// of the hit cell.  The stream advances by exactly flips + 1 uniform draws.
+TEST(Disturbance, SaturatingHazardFlipsEveryVictimCellOnceInFlipsPlusOneDraws) {
+  fault::DisturbanceParams params;
+  params.flip_probability_per_activation = 0.5;
+  const fault::DisturbanceModel model(8, 16, params);
+  std::vector<double> acts(8, 0.0);
+  acts[4] = 1e6;
+  util::Rng rng(21), twin(21);
+  std::vector<fault::DataFlip> out;
+  model.sample(rng, acts, out);
+  ASSERT_EQ(out.size(), 32u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].r, i < 16 ? 3u : 5u);
+    EXPECT_EQ(out[i].c, i % 16);
+  }
+  for (std::size_t draw = 0; draw < out.size() + 1; ++draw) {
+    (void)twin.uniform01();
+  }
+  EXPECT_EQ(rng.state(), twin.state());
+}
+
+// Aggressors at rows 1 and 5 press rows {0, 2} and {4, 6}; rows 1, 3, 5
+// and 7 carry no pressure -- row 3 sits between two victims -- and are
+// never hit.
+TEST(Disturbance, ZeroHazardRowsBetweenVictimsAreNeverHit) {
+  fault::DisturbanceParams params;
+  params.flip_probability_per_activation = 0.05;
+  const fault::DisturbanceModel model(8, 16, params);
+  std::vector<double> acts(8, 0.0);
+  acts[1] = 20.0;  // per-cell hazard 1 on each victim
+  acts[5] = 20.0;
+  util::Rng rng(4);
+  std::vector<std::size_t> hits(8, 0);
+  std::vector<fault::DataFlip> out;
+  for (int draw = 0; draw < 200; ++draw) {
+    out.clear();
+    model.sample(rng, acts, out);
+    for (const fault::DataFlip& f : out) ++hits[f.r];
+  }
+  for (const std::size_t r : {1u, 3u, 5u, 7u}) EXPECT_EQ(hits[r], 0u) << r;
+  for (const std::size_t r : {0u, 2u, 4u, 6u}) EXPECT_GT(hits[r], 0u) << r;
+}
+
+// A long prefix sum rounds, so a row's segment can end a hair past
+// cols x its pressure, and a target there divides out to column cols.
+// Exaggerate that surplus in a hand-built profile: row 0's four cells of
+// length 0.25 sit in a segment of length 4, so most targets landing in row
+// 0 fall past its last cell.  Columns must stay below cols, flips distinct
+// and in (row, column) order.
+TEST(Disturbance, ColumnIndexStaysBelowColsAtASegmentBoundary) {
+  fault::DisturbanceParams params;
+  params.flip_probability_per_activation = 1.0;
+  const fault::DisturbanceModel model(2, 4, params);
+  const fault::DisturbanceProfile profile{{0.25, 1.0}, {0.0, 4.0, 8.0}};
+  util::Rng rng(12);
+  std::size_t last_cell_hits = 0;
+  std::vector<fault::DataFlip> out;
+  for (int draw = 0; draw < 500; ++draw) {
+    out.clear();
+    model.sample(rng, profile, 1.0, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_LT(out[i].r, 2u);
+      ASSERT_LT(out[i].c, 4u);
+      if (out[i].r == 0 && out[i].c == 3) ++last_cell_hits;
+      if (i > 0) {
+        EXPECT_TRUE(out[i - 1].r < out[i].r ||
+                    (out[i - 1].r == out[i].r && out[i - 1].c < out[i].c));
+      }
+    }
+  }
+  EXPECT_GT(last_cell_hits, 0u);
+}
+
+// With one column every hit ends its row, so each gap restarts exactly at
+// the next row's start.  Two rows of per-cell hazard 1 must then flip
+// independently: both with probability (1 - e^-1)^2.
+TEST(Disturbance, CellsFlipIndependentlyAcrossRowEnds) {
+  fault::DisturbanceParams params;
+  params.flip_probability_per_activation = 0.01;
+  const fault::DisturbanceModel model(2, 1, params);
+  const std::vector<double> acts = {100.0, 100.0};  // each presses the other
+  util::Rng rng(17);
+  constexpr int kDraws = 4000;
+  int first = 0, second = 0, both = 0;
+  std::vector<fault::DataFlip> out;
+  for (int draw = 0; draw < kDraws; ++draw) {
+    out.clear();
+    model.sample(rng, acts, out);
+    const bool r0 = !out.empty() && out.front().r == 0;
+    const bool r1 = !out.empty() && out.back().r == 1;
+    first += r0;
+    second += r1;
+    both += r0 && r1;
+  }
+  const double p = 1.0 - std::exp(-1.0);
+  const auto near = [&](int count, double q) {
+    EXPECT_NEAR(count / double{kDraws}, q,
+                5.0 * std::sqrt(q * (1.0 - q) / kDraws));
+  };
+  near(first, p);
+  near(second, p);
+  near(both, p * p);
+}
+
+// A row whose cells are finer than the prefix sum's resolution near its
+// start (cells of 0.1 at offset 10^15, where doubles step by 0.125, in a
+// segment that ends at 10^15 + 1): the restart point and the hit cell
+// round, yet every cell of a saturated row is hit exactly once, in order.
+TEST(Disturbance, CellsBelowThePrefixResolutionAreHitOnceEach) {
+  fault::DisturbanceParams params;
+  params.flip_probability_per_activation = 1.0;
+  const fault::DisturbanceModel model(2, 8, params);
+  const fault::DisturbanceProfile profile{{1.25e14, 0.1},
+                                          {0.0, 1e15, 1e15 + 1.0}};
+  util::Rng rng(3);
+  std::vector<fault::DataFlip> out;
+  model.sample(rng, profile, 1e3, out);
+  ASSERT_EQ(out.size(), 16u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].r, i / 8);
+    EXPECT_EQ(out[i].c, i % 8);
+  }
+}
+
+// The floor only shifts what counts as pressure: a model with floor F on
+// activations a draws the same stream as a floor-0 model on max(0, a - F).
+TEST(Disturbance, FloorMatchesPreShiftedActivationsExactly) {
+  fault::DisturbanceParams floored;
+  floored.flip_probability_per_activation = 4e-3;
+  floored.neighbor_radius = 2;
+  floored.activation_floor = 10;
+  fault::DisturbanceParams plain = floored;
+  plain.activation_floor = 0;
+  const fault::DisturbanceModel with_floor(12, 20, floored);
+  const fault::DisturbanceModel without_floor(12, 20, plain);
+  util::Rng fill(8);
+  std::vector<double> acts(12), shifted(12);
+  for (std::size_t r = 0; r < acts.size(); ++r) {
+    acts[r] = 100.0 * fill.uniform01();
+    shifted[r] = std::max(0.0, acts[r] - 10.0);
+  }
+  util::Rng a(9), b(9);
+  std::vector<fault::DataFlip> fa, fb;
+  for (int draw = 0; draw < 20; ++draw) {
+    with_floor.sample(a, acts, fa);
+    without_floor.sample(b, shifted, fb);
+  }
+  ASSERT_FALSE(fa.empty());
+  ASSERT_EQ(fa.size(), fb.size());
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    EXPECT_EQ(fa[i].r, fb[i].r);
+    EXPECT_EQ(fa[i].c, fb[i].c);
+  }
+  EXPECT_EQ(a.state(), b.state());
 }
 
 // ------------------------------------------------------- activation counters
@@ -637,7 +793,10 @@ TEST(ScenarioConcurrency, ResultsAreBitIdenticalAtAnyThreadCount) {
 // to the engine's bookkeeping must reproduce its results bit for bit.  The
 // values were produced by the engine before its dirty-block bookkeeping
 // (which scanned every block at each scrub event); TTF statistics are exact
-// hex-float literals.
+// hex-float literals.  The `disturb` and `mixed` rows were re-pinned when
+// the sparse disturbance sampler replaced the per-row binomial one, which
+// draws a different stream; rel::reference_run_scenario, the engine on the
+// old sampler, still reproduces the old rows (test_disturbance_oracle).
 struct GoldenScenario {
   std::size_t trials;
   std::size_t failures;
@@ -685,14 +844,14 @@ TEST(ScenarioGolden, PresetPolicyGridAtN60) {
     {24, 11, 700, 2800, 630000, 244, 201, 0, 0, 11, 0x1.a0ba2e8ba2e8bp+6, 0x1.8p+4, 0x1.bcp+7},  // iid region nock
     {24, 7, 828, 5748, 1465740, 330, 307, 0, 0, 7, 0x1.09b6db6db6db7p+7, 0x1.2p+5, 0x1.bp+7},  // iid hotrow ck
     {24, 9, 762, 5280, 1188000, 269, 241, 0, 0, 9, 0x1.c8p+6, 0x1.8p+4, 0x1.c8p+7},  // iid hotrow nock
-    {24, 10, 185, 2960, 754800, 385, 344, 0, 0, 10, 0x1.08p+7, 0x1.8p+5, 0x1.ep+7},  // disturb periodic ck
-    {24, 15, 160, 2560, 576000, 318, 262, 0, 0, 15, 0x1.0ffffffffffffp+7, 0x1.8p+4, 0x1.ep+7},  // disturb periodic nock
-    {24, 17, 613, 4192, 1068960, 348, 301, 0, 0, 17, 0x1.ee1e1e1e1e1e1p+6, 0x1.8p+3, 0x1.d4p+7},  // disturb activation ck
-    {24, 13, 702, 4824, 1085400, 341, 306, 0, 0, 13, 0x1.fbb13b13b13b1p+6, 0x1.2p+4, 0x1.ep+7},  // disturb activation nock
-    {24, 20, 535, 2140, 545700, 300, 239, 0, 0, 20, 0x1.dap+6, 0x1.8p+3, 0x1.ep+7},  // disturb region ck
-    {24, 15, 671, 2684, 603900, 321, 270, 0, 0, 15, 0x1.04ccccccccccdp+7, 0x1.ep+4, 0x1.ep+7},  // disturb region nock
-    {24, 17, 613, 4192, 1068960, 348, 301, 0, 0, 17, 0x1.ee1e1e1e1e1e1p+6, 0x1.8p+3, 0x1.d4p+7},  // disturb hotrow ck
-    {24, 13, 702, 4824, 1085400, 341, 306, 0, 0, 13, 0x1.fbb13b13b13b1p+6, 0x1.2p+4, 0x1.ep+7},  // disturb hotrow nock
+    {24, 15, 148, 2368, 603840, 317, 259, 0, 0, 15, 0x1.d333333333333p+6, 0x1.8p+4, 0x1.ep+7},  // disturb periodic ck
+    {24, 13, 167, 2672, 601200, 317, 273, 0, 0, 13, 0x1.0276276276276p+7, 0x1.8p+4, 0x1.ep+7},  // disturb periodic nock
+    {24, 19, 600, 4092, 1043460, 336, 281, 0, 0, 19, 0x1.08a1af286bca2p+7, 0x1.2p+4, 0x1.ep+7},  // disturb activation ck
+    {24, 12, 659, 4556, 1025100, 323, 290, 0, 0, 12, 0x1.7ep+6, 0x1.8p+3, 0x1.bp+7},  // disturb activation nock
+    {24, 18, 533, 2132, 543660, 274, 213, 0, 0, 18, 0x1.9eaaaaaaaaaabp+6, 0x1.8p+4, 0x1.bcp+7},  // disturb region ck
+    {24, 19, 462, 1848, 415800, 241, 177, 0, 0, 19, 0x1.62f286bca1af2p+6, 0x1.8p+3, 0x1.a4p+7},  // disturb region nock
+    {24, 19, 600, 4092, 1043460, 336, 281, 0, 0, 19, 0x1.08a1af286bca2p+7, 0x1.2p+4, 0x1.ep+7},  // disturb hotrow ck
+    {24, 12, 659, 4556, 1025100, 323, 290, 0, 0, 12, 0x1.7ep+6, 0x1.8p+3, 0x1.bp+7},  // disturb hotrow nock
     {24, 12, 173, 2768, 705840, 281, 238, 0, 0, 12, 0x1.04p+7, 0x1.8p+5, 0x1.8p+7},  // burst periodic ck
     {24, 12, 171, 2736, 615600, 226, 196, 0, 0, 12, 0x1.f8p+6, 0x1.8p+4, 0x1.ep+7},  // burst periodic nock
     {24, 8, 790, 5500, 1402500, 286, 265, 0, 0, 8, 0x1.dap+6, 0x1.5p+5, 0x1.bcp+7},  // burst activation ck
@@ -709,14 +868,14 @@ TEST(ScenarioGolden, PresetPolicyGridAtN60) {
     {24, 13, 695, 2780, 625500, 239, 137, 158, 45, 13, 0x1.eec4ec4ec4ec5p+6, 0x1.8p+4, 0x1.bcp+7},  // stuckat region nock
     {24, 12, 716, 4952, 1262760, 286, 196, 168, 48, 12, 0x1.fp+6, 0x1.2p+4, 0x1.bcp+7},  // stuckat hotrow ck
     {24, 14, 662, 4544, 1022400, 226, 131, 155, 43, 14, 0x1.d924924924926p+6, 0x1.8p+4, 0x1.bcp+7},  // stuckat hotrow nock
-    {24, 18, 150, 2400, 612000, 295, 221, 35, 8, 18, 0x1.2p+7, 0x1.8p+5, 0x1.ep+7},  // mixed periodic ck
-    {24, 14, 154, 2464, 554400, 273, 213, 48, 14, 14, 0x1.d249249249249p+6, 0x1.8p+4, 0x1.ep+7},  // mixed periodic nock
-    {24, 16, 577, 3964, 1010820, 245, 186, 37, 8, 16, 0x1.998p+6, 0x1.2p+4, 0x1.d4p+7},  // mixed activation ck
-    {24, 6, 854, 5948, 1338300, 304, 267, 62, 18, 6, 0x1.18p+7, 0x1.bp+5, 0x1.c8p+7},  // mixed activation nock
-    {24, 16, 535, 2140, 545700, 234, 165, 27, 6, 16, 0x1.5a80000000001p+6, 0x1.2p+4, 0x1.a4p+7},  // mixed region ck
-    {24, 11, 714, 2856, 642600, 260, 206, 46, 14, 11, 0x1.bf45d1745d175p+6, 0x1.ep+4, 0x1.c8p+7},  // mixed region nock
-    {24, 16, 577, 3964, 1010820, 245, 186, 37, 8, 16, 0x1.998p+6, 0x1.2p+4, 0x1.d4p+7},  // mixed hotrow ck
-    {24, 6, 854, 5948, 1338300, 304, 267, 62, 18, 6, 0x1.18p+7, 0x1.bp+5, 0x1.c8p+7},  // mixed hotrow nock
+    {24, 15, 142, 2272, 579360, 280, 200, 44, 10, 15, 0x1.acccccccccccbp+6, 0x1.8p+4, 0x1.ep+7},  // mixed periodic ck
+    {24, 14, 143, 2288, 514800, 272, 194, 52, 12, 14, 0x1.86db6db6db6dbp+6, 0x1.8p+4, 0x1.ep+7},  // mixed periodic nock
+    {24, 13, 687, 4764, 1214820, 313, 250, 77, 21, 13, 0x1.e000000000001p+6, 0x1.5p+5, 0x1.bcp+7},  // mixed activation ck
+    {24, 15, 590, 4040, 909000, 251, 190, 42, 13, 15, 0x1.88p+6, 0x1.2p+4, 0x1.98p+7},  // mixed activation nock
+    {24, 18, 522, 2088, 532440, 250, 182, 41, 8, 18, 0x1.9p+6, 0x1.ep+4, 0x1.68p+7},  // mixed region ck
+    {24, 15, 592, 2368, 532800, 253, 183, 43, 9, 15, 0x1.8b33333333333p+6, 0x1.2p+4, 0x1.ep+7},  // mixed region nock
+    {24, 13, 687, 4764, 1214820, 313, 250, 77, 21, 13, 0x1.e000000000001p+6, 0x1.5p+5, 0x1.bcp+7},  // mixed hotrow ck
+    {24, 15, 590, 4040, 909000, 251, 190, 42, 13, 15, 0x1.88p+6, 0x1.2p+4, 0x1.98p+7},  // mixed hotrow nock
   };
   std::size_t row = 0;
   for (const std::string_view preset : rel::fault_preset_names()) {
@@ -747,15 +906,15 @@ TEST(ScenarioGolden, PresetPolicyGridAtN60) {
 TEST(ScenarioGolden, ServedShape) {
   static constexpr GoldenScenario kGolden[] = {
     {16, 0, 160, 739840, 188659200, 0, 0, 0, 0, 0, 0x0p+0, 0x0p+0, 0x0p+0},  // iid fit=0.001000
-    {16, 16, 0, 0, 0, 2755, 0, 0, 0, 16, 0x1.8p+4, 0x1.8p+4, 0x1.8p+4},  // disturb fit=0.001000
+    {16, 16, 0, 0, 0, 2788, 0, 0, 0, 16, 0x1.8p+4, 0x1.8p+4, 0x1.8p+4},  // disturb fit=0.001000
     {16, 1, 158, 730592, 186300960, 12, 0, 0, 0, 1, 0x1.bp+7, 0x1.bp+7, 0x1.bp+7},  // burst fit=0.001000
     {16, 0, 160, 739840, 188659200, 0, 0, 0, 0, 0, 0x0p+0, 0x0p+0, 0x0p+0},  // stuckat fit=0.001000
-    {16, 16, 3, 13872, 3537360, 1635, 238, 0, 0, 16, 0x1.c8p+4, 0x1.8p+4, 0x1.8p+5},  // mixed fit=0.001000
+    {16, 16, 2, 9248, 2358240, 1541, 169, 0, 0, 16, 0x1.bp+4, 0x1.8p+4, 0x1.8p+5},  // mixed fit=0.001000
     {16, 16, 25, 115600, 29478000, 2308, 1402, 0, 0, 16, 0x1.ecp+5, 0x1.8p+4, 0x1.ep+7},  // iid fit=2000.000000
-    {16, 16, 0, 0, 0, 3576, 0, 0, 0, 16, 0x1.8p+4, 0x1.8p+4, 0x1.8p+4},  // disturb fit=2000.000000
+    {16, 16, 0, 0, 0, 3678, 0, 0, 0, 16, 0x1.8p+4, 0x1.8p+4, 0x1.8p+4},  // disturb fit=2000.000000
     {16, 15, 24, 110976, 28298880, 2208, 1341, 0, 0, 15, 0x1.7333333333333p+5, 0x1.8p+4, 0x1.8p+6},  // burst fit=2000.000000
     {16, 16, 24, 110976, 28298880, 2197, 949, 605, 87, 16, 0x1.ep+5, 0x1.8p+4, 0x1.ep+6},  // stuckat fit=2000.000000
-    {16, 16, 0, 0, 0, 2174, 0, 0, 0, 16, 0x1.8p+4, 0x1.8p+4, 0x1.8p+4},  // mixed fit=2000.000000
+    {16, 16, 2, 9248, 2358240, 2563, 271, 11, 0, 16, 0x1.bp+4, 0x1.8p+4, 0x1.8p+5},  // mixed fit=2000.000000
   };
   std::size_t row = 0;
   for (const double fit : {1e-3, 2e3}) {
@@ -828,10 +987,10 @@ TEST(ScenarioDirtyList, StuckCellSurvivesScrubsUntilReplaced) {
 }
 
 // Trial 0 of this campaign fails at the first event, before any scrub,
-// with faults still outstanding; trial 1 then runs on the same lane and
-// survives the whole horizon.  Any state leaking across the trial reset
-// would change trial 1.  The expected counters are pinned from the engine
-// that cleared every block between trials.
+// with faults still outstanding; trial 1 then runs on the same lane through
+// 8 scrubs and fails at 216 h.  Any state leaking across the trial reset
+// would change trial 1.  The expected counters agree with an engine that
+// clears every block between trials.
 TEST(ScenarioDirtyList, TrialAfterAFailedTrialStartsClean) {
   rel::ScenarioConfig config;
   config.n = 60;
@@ -848,7 +1007,7 @@ TEST(ScenarioDirtyList, TrialAfterAFailedTrialStartsClean) {
   config.trials = 2;
   util::Rng rng_both(30);
   expect_golden(rel::run_scenario(config, rng_both),
-                {2, 1, 10, 160, 40800, 14, 9, 0, 0, 1, 24.0, 24.0, 24.0});
+                {2, 2, 8, 128, 32640, 19, 9, 1, 0, 2, 120.0, 24.0, 216.0});
 }
 
 }  // namespace
